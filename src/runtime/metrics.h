@@ -37,7 +37,9 @@ namespace tq::runtime {
 //   cache_*                  result-cache hits / misses / LRU evictions /
 //                            entries invalidated by republishes
 //   snapshots_published      engine-wide snapshot swaps
-//   shard_tasks              per-shard scatter tasks executed (sharded only)
+//   shard_tasks              scatter pool tasks executed (sharded only):
+//                            one per shard, plus one per evaluated slot
+//                            of a pruned top-k
 //   shard_publishes          individual shard snapshots republished (a
 //                            publish touching 2 of 8 shards counts 2)
 //   trajectories_*           write-batch insert / remove totals
@@ -48,7 +50,8 @@ namespace tq::runtime {
 //   facilities_evaluated/facilities_pruned/prune_rounds
 //                            bound-and-prune top-k accounting: exact
 //                            per-shard evaluations done vs. skipped, and
-//                            coordinator rounds run (1 or 2 per query)
+//                            dependent task rounds (the sweep plus the
+//                            longest chain of slot tasks)
 //   nodes_visited/entries_scanned/exact_checks/heap_pops
 //                            folded per-query traversal QueryStats
 //   net_*                    network front-end accounting (src/net/server.h):

@@ -3,12 +3,13 @@
 //
 // A RemoteShardSet owns no trees. It holds one channel (a small pool of
 // pipelined NetClient connections) per worker, a WorkerRegistry tracking
-// liveness, and runs the SAME two-round bound-and-prune top-k protocol as
-// ShardedEngine — one level up, with each worker acting as a "super-shard":
+// liveness, and runs a two-round bound-and-prune top-k protocol on the
+// same threshold proof as ShardedEngine — one level up, with each worker
+// acting as a "super-shard":
 //
 //   round 1   one kBound frame per alive worker. Worker w answers with
 //             B_w(f) = Σ_{owned s} UB_s(f) per facility plus the exact
-//             values E_w(f) its local cursors already settled.
+//             values E_w(f) its local best-first refinement settled.
 //   coordinate  B(f) = Σ_w B_w(f), L(f) = Σ_{w that settled f} E_w(f),
 //             τ = k-th largest L; candidates are the not-fully-settled
 //             facilities with B(f) ≥ τ — every pruned facility satisfies

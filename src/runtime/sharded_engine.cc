@@ -2,29 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <functional>
-#include <queue>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
 #include "net/protocol.h"
 #include "query/eval_service.h"
+#include "runtime/topk_coordinator.h"
 #include "tqtree/serialize.h"
 
 namespace {
-
-/// Raises `floor` to at least `v` (monotone max over non-negative doubles:
-/// for values ≥ 0 the IEEE-754 bit patterns sort like the values, so the
-/// global prune floor can live in one lock-free atomic word).
-void RaiseFloor(std::atomic<uint64_t>* floor, double v) {
-  const uint64_t nb = std::bit_cast<uint64_t>(v);
-  uint64_t cur = floor->load(std::memory_order_relaxed);
-  while (cur < nb && !floor->compare_exchange_weak(
-                         cur, nb, std::memory_order_relaxed)) {
-  }
-}
 
 /// The top-k cache key of a sharded snapshot: every shard's generation, in
 /// shard order. Exact vector equality means a hit can never mix two shard
@@ -43,17 +32,18 @@ tq::runtime::ResultCache::TopKKey TopKKeyFor(
 
 namespace tq::runtime {
 
-// Shared per-query scatter/gather state. Each shard task writes only its own
-// slots; the last task to finish (remaining hits zero) performs the gather —
-// which for pruned top-k is the COORDINATOR step that may fan out a second
-// round of per-shard refinement tasks. No pool thread ever blocks on another
-// task; the rounds are sequenced by the remaining-counter barrier alone.
+// Shared per-query scatter/gather state. Each scatter task writes only its
+// own shard's slots; the last task to finish (remaining hits zero) performs
+// the gather. For pruned top-k that last bound-sweep task starts the global
+// best-first refinement instead: single-(facility, shard) slot tasks whose
+// completions feed the coordinator under `coord_mu` and launch the next
+// slots. No pool thread ever blocks on another task.
 struct ShardedEngine::GatherState {
   QueryRequest request;
   ShardedSnapshotPtr snap;  // pins every shard's tree for the query
   ResponseCallback done;    // fulfilled exactly once by the last finisher
   std::vector<double> values;                   // kServiceValue: per shard
-  std::vector<std::vector<double>> fac_values;  // kTopK: per shard, per fac
+  std::vector<std::vector<double>> fac_values;  // exhaustive kTopK: per shard
   std::vector<QueryStats> stats;                // per shard
   std::vector<uint8_t> hits;                    // per shard: all lookups hit
   std::atomic<size_t> remaining{0};
@@ -62,21 +52,22 @@ struct ShardedEngine::GatherState {
   /// server for frame traces, the engine's done-wrapper for its own).
   TraceContextPtr trace;
 
-  // Bound-and-prune top-k protocol state (prune_topk mode only).
-  std::vector<std::vector<double>> bounds;   // round 1: per shard, per fac
-  std::vector<std::vector<uint8_t>> known;   // fac_values[s][f] is exact
-  std::vector<uint32_t> candidates;          // round 2 refinement set
-  /// Running global lower bound on the k-th exact value (double bits):
-  /// shards raise it as their local top-k completes; round-1 cursors stop
-  /// once their next-best local bound falls below it.
-  std::atomic<uint64_t> floor_bits{0};
-  /// Exact per-(facility, shard) evaluations performed so far.
-  std::atomic<uint64_t> evaluated{0};
-  /// Coordinator rounds executed (1 when round 1 settled everything).
-  uint32_t rounds = 0;
-  /// Set for TopKBoundSweepAsync: the query stops after round 1 and emits
-  /// bounds + exactly-settled facilities for a REMOTE coordinator instead
-  /// of coordinating locally.
+  // Pruned top-k state (prune_topk mode only).
+  std::vector<std::vector<double>> bounds;  // bound sweep: per shard, per fac
+  /// Guards `coord`, `rounds`, `refine_window` and, once the sweep is
+  /// gathered, `stats`: slot tasks on the same shard run concurrently.
+  std::mutex coord_mu;
+  /// Heap-held so the per-query state of the far more common sums stays
+  /// small.
+  std::unique_ptr<TopKCoordinator> coord;
+  /// Longest chain of dependent tasks: the sweep is round 1, and a slot
+  /// launched by the completion of a round-r task runs in round r + 1.
+  uint32_t rounds = 1;
+  /// Traced queries only: per shard, [first slot start, last slot end] of
+  /// its refinement — one span per shard, however many slots it ran.
+  std::vector<std::pair<uint64_t, uint64_t>> refine_window;
+  /// Set for TopKBoundSweepAsync: the refinement result goes to a REMOTE
+  /// coordinator as bounds + settled facilities instead of being ranked.
   BoundSweepCallback bound_done;
 };
 
@@ -604,13 +595,12 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
   // covers the whole fan-out.
   const uint64_t post_ns = NowNs();
   if (state->request.kind == QueryKind::kTopK && prune) {
-    // Bound-and-prune protocol: scatter round-1 bound-sweep tasks; the
-    // coordinator (last finisher) decides what round 2 must refine.
+    // Best-first protocol: scatter one bound-sweep task per shard; the last
+    // finisher starts the coordinator's slot-by-slot refinement.
     state->bounds.resize(n);
-    state->known.resize(n);
     for (size_t s = 0; s < n; ++s) {
       pool_.Post([this, state, s, post_ns]() {
-        ExecuteTopKBoundRound(state, s, post_ns);
+        ExecuteTopKSweep(state, s, post_ns);
       });
     }
     return;
@@ -765,9 +755,8 @@ void ShardedEngine::RankTopK(GatherState* state,
   }
 }
 
-void ShardedEngine::ExecuteTopKBoundRound(
-    const std::shared_ptr<GatherState>& state, size_t shard_idx,
-    uint64_t post_ns) {
+void ShardedEngine::ExecuteTopKSweep(const std::shared_ptr<GatherState>& state,
+                                     size_t shard_idx, uint64_t post_ns) {
   const uint64_t t0 =
       ((metrics_.latency_recording() && MetricsRegistry::SampleTask()) ||
        state->trace)
@@ -779,211 +768,114 @@ void ShardedEngine::ExecuteTopKBoundRound(
   }
   const ShardState& shard = *state->snap->shards[shard_idx];
   const FacilityCatalog& catalog = *state->snap->catalog;
-  const size_t num_fac = catalog.size();
-  // Submit answers k = 0 / empty-catalog requests directly, so k ≥ 1 here.
-  const size_t k = std::min(state->request.k, num_fac);
   QueryStats stats;
-
-  // Bound sweep: one cheap aggregate bound per facility, no entry scanned.
+  // One cheap aggregate bound per facility, no entry scanned and no exact
+  // evaluation: the coordinator decides which slots are worth refining.
   std::vector<double>& bounds = state->bounds[shard_idx];
-  bounds.resize(num_fac, 0.0);
-  for (uint32_t f = 0; f < num_fac; ++f) {
+  bounds.resize(catalog.size(), 0.0);
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
     bounds[f] = shard.tree->UpperBound(catalog.grid(f), options_.bound_levels,
                                        &stats.nodes_visited);
   }
-
-  // Incremental next-best cursor: exact evaluation in descending-bound
-  // order, stopping as soon as the next bound falls below the running
-  // threshold — the larger of this shard's own k-th exact value and the
-  // global floor other shards have already raised. Everything this round
-  // produces is advisory (it seeds the coordinator's threshold and warms
-  // the cache); stopping early can cost round-2 work but never exactness.
-  std::vector<double>& values = state->fac_values[shard_idx];
-  std::vector<uint8_t>& known = state->known[shard_idx];
-  values.resize(num_fac, 0.0);
-  known.assign(num_fac, 0);
-  std::vector<uint32_t> order(num_fac);
-  for (uint32_t f = 0; f < num_fac; ++f) order[f] = f;
-  std::sort(order.begin(), order.end(), [&bounds](uint32_t a, uint32_t b) {
-    if (bounds[a] != bounds[b]) return bounds[a] > bounds[b];
-    return a < b;
-  });
-  std::priority_queue<double, std::vector<double>, std::greater<double>>
-      local_topk;  // min-heap over this shard's k largest exact values
-  uint64_t evaluated = 0;
-  for (const uint32_t f : order) {
-    if (bounds[f] <= 0.0) {
-      // A zero bound IS the exact value: 0 ≤ SO_s(f) ≤ UB_s(f) = 0. The
-      // sorted cursor means every remaining facility is settled the same
-      // way, for free.
-      values[f] = 0.0;
-      known[f] = 1;
-      continue;
-    }
-    if (local_topk.size() >= k) {
-      const double threshold = std::max(
-          local_topk.top(),
-          std::bit_cast<double>(
-              state->floor_bits.load(std::memory_order_relaxed)));
-      if (bounds[f] < threshold) break;  // cursor stops; so would all later
-    }
-    bool hit = false;
-    values[f] = ShardServiceValue(shard, catalog, f, &stats, &hit);
-    known[f] = 1;
-    ++evaluated;
-    local_topk.push(values[f]);
-    if (local_topk.size() > k) local_topk.pop();
-    if (local_topk.size() == k) {
-      // SO(U, f) ≥ SO_s(f), so this shard's k-th exact value lower-bounds
-      // the global k-th value — publish it for the other cursors.
-      RaiseFloor(&state->floor_bits, local_topk.top());
-    }
-  }
-
   state->stats[shard_idx] = stats;
-  state->evaluated.fetch_add(evaluated, std::memory_order_relaxed);
   metrics_.AddShardTask();
   if (t0 != 0) {
     const uint64_t t1 = NowNs();
     metrics_.RecordLatency(OpFamily::kShardTask, t1 - t0);
     if (state->trace) {
-      // One span covers the shard's bound sweep AND its cursor-driven
-      // exact evaluations — the round-1 unit of work.
       state->trace->AddSpan("shard_sweep", static_cast<int32_t>(shard_idx),
                             t0, t1);
     }
   }
   if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    if (state->bound_done) {
-      FinishBoundSweep(state.get());
-    } else {
-      CoordinateTopK(state);
-    }
+    CoordinateTopK(state);
   }
 }
 
 void ShardedEngine::CoordinateTopK(const std::shared_ptr<GatherState>& state) {
   const uint64_t coord_t0 = state->trace ? NowNs() : 0;
-  const size_t n = state->snap->shards.size();
-  const FacilityCatalog& catalog = *state->snap->catalog;
-  const size_t num_fac = catalog.size();
+  const size_t num_fac = state->snap->catalog->size();
+  // Submit answers k = 0 / empty-catalog requests directly, so k ≥ 1 here.
   const size_t k = std::min(state->request.k, num_fac);
-  state->rounds++;
-
-  // Global bound B(f) = Σ_s UB_s(f) and partial lower bound
-  // L(f) = Σ_{s that evaluated f} SO_s(f) ≤ SO(U, f) (values are
-  // non-negative, so missing shards only understate).
-  std::vector<double> global_bound(num_fac, 0.0);
-  std::vector<double> global_lower(num_fac, 0.0);
-  for (uint32_t f = 0; f < num_fac; ++f) {
-    for (size_t s = 0; s < n; ++s) {
-      global_bound[f] += state->bounds[s][f];
-      if (state->known[s][f]) global_lower[f] += state->fac_values[s][f];
-    }
-    if (global_bound[f] <= 0.0) {
-      // Nothing anywhere can serve f: settle every shard slot exactly.
-      for (size_t s = 0; s < n; ++s) {
-        state->fac_values[s][f] = 0.0;
-        state->known[s][f] = 1;
-      }
-    }
-  }
-
-  // Running k-th threshold τ: the k-th largest partial lower bound. Any
-  // facility with B(f) < τ has SO(U, f) ≤ B(f) < τ ≤ k-th exact value —
-  // strictly below the answer even on exact ties, so pruning it is safe
-  // under the (value desc, id asc) order. B(f) == τ stays a candidate.
-  std::vector<double> lower = global_lower;
-  std::nth_element(lower.begin(), lower.begin() + (k - 1), lower.end(),
-                   std::greater<double>());
-  const double threshold = lower[k - 1];
-
-  state->candidates.clear();
-  for (uint32_t f = 0; f < num_fac; ++f) {
-    bool fully_known = true;
-    for (size_t s = 0; s < n && fully_known; ++s) {
-      fully_known = state->known[s][f] != 0;
-    }
-    if (fully_known) continue;
-    if (global_bound[f] >= threshold) state->candidates.push_back(f);
-    // else pruned: provably absent from the top-k.
-  }
-
-  if (coord_t0 != 0) {
+  // At most one slot task per pool thread: a concurrent query's shard tasks
+  // queue behind one short slot evaluation, never behind a whole round.
+  state->coord =
+      std::make_unique<TopKCoordinator>(state->bounds, k, pool_.size());
+  if (state->trace) {
+    state->refine_window.assign(state->snap->shards.size(), {0, 0});
     state->trace->AddSpan("coordinate", -1, coord_t0, NowNs());
   }
-  if (state->candidates.empty()) {
-    FinishTopK(state.get());
-    return;
+  AdvanceTopK(state, std::unique_lock<std::mutex>(state->coord_mu),
+              /*round=*/1);
+}
+
+void ShardedEngine::AdvanceTopK(const std::shared_ptr<GatherState>& state,
+                                std::unique_lock<std::mutex> lock,
+                                uint32_t round) {
+  std::vector<TopKCoordinator::Slot> launch;
+  TopKCoordinator::Slot slot;
+  TopKCoordinator::Step step;
+  while ((step = state->coord->Next(&slot)) ==
+         TopKCoordinator::Step::kEvaluate) {
+    launch.push_back(slot);
   }
-  // Round 2: refine only the surviving candidates, on every shard that has
-  // not already evaluated them. The remaining-counter barrier is reset
-  // before the fan-out; Post's queue ordering makes the candidate list
-  // visible to the round-2 tasks.
-  state->rounds++;
-  state->remaining.store(n, std::memory_order_relaxed);
-  const uint64_t post_ns = NowNs();
-  for (size_t s = 0; s < n; ++s) {
-    pool_.Post([this, state, s, post_ns]() {
-      ExecuteTopKRefineRound(state, s, post_ns);
+  if (!launch.empty()) state->rounds = std::max(state->rounds, round + 1);
+  lock.unlock();
+  for (const TopKCoordinator::Slot& next : launch) {
+    pool_.Post([this, state, next, round]() {
+      ExecuteTopKSlot(state, next, round + 1);
     });
+  }
+  if (step != TopKCoordinator::Step::kDone) return;
+  // kDone: nothing is in flight, so no other task touches the state again.
+  if (state->bound_done) {
+    FinishBoundSweep(state.get());
+  } else {
+    FinishTopK(state.get());
   }
 }
 
-void ShardedEngine::ExecuteTopKRefineRound(
-    const std::shared_ptr<GatherState>& state, size_t shard_idx,
-    uint64_t post_ns) {
+void ShardedEngine::ExecuteTopKSlot(const std::shared_ptr<GatherState>& state,
+                                    TopKCoordinator::Slot slot,
+                                    uint32_t round) {
   const uint64_t t0 =
       ((metrics_.latency_recording() && MetricsRegistry::SampleTask()) ||
        state->trace)
           ? NowNs()
           : 0;
-  if (state->trace && post_ns != 0) {
-    state->trace->AddSpan("queue_wait", static_cast<int32_t>(shard_idx),
-                          post_ns, t0);
-  }
-  const ShardState& shard = *state->snap->shards[shard_idx];
-  const FacilityCatalog& catalog = *state->snap->catalog;
   QueryStats stats;
-  std::vector<double>& values = state->fac_values[shard_idx];
-  std::vector<uint8_t>& known = state->known[shard_idx];
-  uint64_t evaluated = 0;
-  for (const uint32_t f : state->candidates) {
-    if (known[f]) continue;  // round 1 already settled it
-    if (state->bounds[shard_idx][f] <= 0.0) {
-      // Round 1's cursor stopped before reaching this zero-bound tail
-      // entry, but 0 ≤ SO_s(f) ≤ UB_s(f) = 0 settles it without a tree
-      // traversal (another shard's positive bound made f a candidate).
-      values[f] = 0.0;
-      known[f] = 1;
-      continue;
-    }
-    bool hit = false;
-    values[f] = ShardServiceValue(shard, catalog, f, &stats, &hit);
-    known[f] = 1;
-    ++evaluated;
-  }
-  state->stats[shard_idx].Add(stats);
-  state->evaluated.fetch_add(evaluated, std::memory_order_relaxed);
+  bool hit = false;
+  const double value =
+      ShardServiceValue(*state->snap->shards[slot.part], *state->snap->catalog,
+                        slot.facility, &stats, &hit);
   metrics_.AddShardTask();
-  if (t0 != 0) {
-    const uint64_t t1 = NowNs();
-    metrics_.RecordLatency(OpFamily::kShardTask, t1 - t0);
-    if (state->trace) {
-      state->trace->AddSpan("shard_refine", static_cast<int32_t>(shard_idx),
-                            t0, t1);
-    }
+  const uint64_t t1 = t0 != 0 ? NowNs() : 0;
+  if (t0 != 0) metrics_.RecordLatency(OpFamily::kShardTask, t1 - t0);
+
+  std::unique_lock<std::mutex> lock(state->coord_mu);
+  state->stats[slot.part].Add(stats);
+  if (state->trace) {
+    auto& [first, last] = state->refine_window[slot.part];
+    if (first == 0 || t0 < first) first = t0;
+    last = std::max(last, t1);
   }
-  if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    FinishTopK(state.get());
-  }
+  state->coord->Complete(slot, value);
+  AdvanceTopK(state, std::move(lock), round);
 }
 
 void ShardedEngine::FinishTopK(GatherState* state) {
-  const uint64_t merge_t0 = state->trace ? NowNs() : 0;
   const ShardedSnapshot& snap = *state->snap;
   const size_t n = snap.shards.size();
-  const size_t num_fac = snap.catalog->size();
+  if (state->trace) {
+    for (size_t s = 0; s < n; ++s) {
+      const auto [first, last] = state->refine_window[s];
+      if (last != 0) {
+        state->trace->AddSpan("shard_refine", static_cast<int32_t>(s), first,
+                              last);
+      }
+    }
+  }
+  const uint64_t merge_t0 = state->trace ? NowNs() : 0;
   QueryResponse response;
   response.kind = state->request.kind;
   response.snapshot_version = snap.version;
@@ -992,26 +884,13 @@ void ShardedEngine::FinishTopK(GatherState* state) {
   for (size_t s = 0; s < n; ++s) total.Add(state->stats[s]);
   response.stats = total;
 
-  // Rank the fully-evaluated facilities only: every other facility is
-  // provably strictly below the k-th value. Summing in ascending shard
-  // order reproduces the exhaustive gather's doubles bit for bit.
-  std::vector<RankedFacility> complete;
-  complete.reserve(num_fac);
-  for (uint32_t f = 0; f < num_fac; ++f) {
-    bool fully_known = true;
-    for (size_t s = 0; s < n && fully_known; ++s) {
-      fully_known = state->known[s][f] != 0;
-    }
-    if (!fully_known) continue;
-    double sum = 0.0;
-    for (size_t s = 0; s < n; ++s) sum += state->fac_values[s][f];
-    complete.push_back(RankedFacility{f, sum});
-  }
-  RankTopK(state, std::move(complete), &response);
-  const uint64_t evaluated =
-      state->evaluated.load(std::memory_order_relaxed);
-  const uint64_t slots = static_cast<uint64_t>(num_fac) * n;
-  metrics_.AddTopKPruneWork(evaluated, slots - evaluated, state->rounds);
+  // Every facility the coordinator left incomplete is provably strictly
+  // below the k-th settled value; settled totals are the exhaustive
+  // gather's ascending-shard sums bit for bit.
+  RankTopK(state, state->coord->Settled(), &response);
+  const uint64_t evaluated = state->coord->requested();
+  metrics_.AddTopKPruneWork(evaluated, state->coord->num_slots() - evaluated,
+                            state->rounds);
   metrics_.RecordQueryStats(total);
   if (merge_t0 != 0) state->trace->AddSpan("merge", -1, merge_t0, NowNs());
   state->done(std::move(response));
@@ -1029,27 +908,20 @@ void ShardedEngine::FinishBoundSweep(GatherState* state) {
   for (size_t s = 0; s < n; ++s) total.Add(state->stats[s]);
 
   // Per-facility bound over the owned shards (non-owned shards hold empty
-  // trees, so their UB is exactly 0), plus the exact sum for facilities
-  // EVERY shard settled in round 1 — the coordinator's partial lower
-  // bounds, summed in ascending shard order for bit-identity.
+  // trees, so their UB is exactly 0), plus the facilities the local
+  // refinement settled — the remote coordinator's partial lower bounds.
   for (uint32_t f = 0; f < num_fac; ++f) {
     double bound = 0.0;
-    bool fully_known = true;
-    for (size_t s = 0; s < n; ++s) {
-      bound += state->bounds[s][f];
-      fully_known = fully_known && state->known[s][f] != 0;
-    }
+    for (size_t s = 0; s < n; ++s) bound += state->bounds[s][f];
     result.bounds[f] = bound;
-    if (fully_known) {
-      double sum = 0.0;
-      for (size_t s = 0; s < n; ++s) sum += state->fac_values[s][f];
-      result.exacts.emplace_back(f, sum);
-    }
+  }
+  for (const RankedFacility& settled : state->coord->Settled()) {
+    result.exacts.emplace_back(settled.id, settled.value);
   }
 
-  const uint64_t evaluated = state->evaluated.load(std::memory_order_relaxed);
-  const uint64_t slots = static_cast<uint64_t>(num_fac) * n;
-  metrics_.AddTopKPruneWork(evaluated, slots - evaluated, 1);
+  const uint64_t evaluated = state->coord->requested();
+  metrics_.AddTopKPruneWork(evaluated, state->coord->num_slots() - evaluated,
+                            state->rounds);
   metrics_.RecordQueryStats(total);
   state->bound_done(std::move(result));
 }
@@ -1057,8 +929,8 @@ void ShardedEngine::FinishBoundSweep(GatherState* state) {
 void ShardedEngine::TopKBoundSweepAsync(size_t k, BoundSweepCallback done) {
   auto state = std::make_shared<GatherState>();
   state->snap = snapshot();
-  // A bound sweep is one top-k query's round 1 worth of work — count and
-  // time it as a top-k query so the histogram-vs-counter invariant the CI
+  // A bound sweep is one top-k query's worth of work — count and time it as
+  // a top-k query so the histogram-vs-counter invariant the CI
   // observability smoke asserts holds on workers too.
   metrics_.AddQuery(/*topk=*/true);
   const uint64_t t0 = metrics_.latency_recording() ? NowNs() : 0;
@@ -1079,15 +951,12 @@ void ShardedEngine::TopKBoundSweepAsync(size_t k, BoundSweepCallback done) {
   state->request.k = std::max<size_t>(1, std::min(k, num_fac));
 
   const size_t n = state->snap->shards.size();
-  state->fac_values.resize(n);
   state->stats.resize(n);
-  state->hits.assign(n, 0);
   state->bounds.resize(n);
-  state->known.resize(n);
   state->remaining.store(n, std::memory_order_relaxed);
   for (size_t s = 0; s < n; ++s) {
     pool_.Post([this, state, s]() {
-      ExecuteTopKBoundRound(state, s, /*post_ns=*/0);
+      ExecuteTopKSweep(state, s, /*post_ns=*/0);
     });
   }
 }

@@ -30,33 +30,31 @@
 //     shard — so the gather works with per-facility values, not lists.
 //     For integer-valued service models (point counts, endpoint counts)
 //     the gathered sums are exactly the unsharded values, bit for bit.
-//   * Top-k is BOUND-AND-PRUNE, not an exhaustive per-facility sweep
-//     (two rounds; see GatherState in sharded_engine.cc):
-//       round 1  every shard computes a cheap aggregate upper bound
+//   * Top-k is a GLOBAL BEST-FIRST search over (facility, shard) slots,
+//     not an exhaustive per-facility sweep (see runtime/topk_coordinator.h):
+//       sweep    one task per shard computes a cheap aggregate upper bound
 //                UB_s(f) for every facility (TQTree::UpperBound — node
-//                aggregates only, no entry ever scanned), then walks its
-//                facilities in descending-bound order with an incremental
-//                next-best cursor, exactly evaluating until the cursor's
-//                bound falls below the running threshold — the larger of
-//                the shard's own k-th exact value and the global floor
-//                other shards have already published.
-//       gather   the coordinator (the last round-1 task) sums bounds
-//                B(f) = Σ_s UB_s(f) and partial exact values
-//                L(f) = Σ_{s evaluated f} SO_s(f) ≤ SO(U, f), takes the
-//                running k-th threshold τ = k-th largest L, and keeps as
-//                candidates only facilities with B(f) ≥ τ — every pruned
-//                facility satisfies SO(U, f) ≤ B(f) < τ ≤ k-th exact
-//                value, so it cannot reach the answer even on a tie.
-//       round 2  shards refine just the candidates they have not already
-//                evaluated; the final merge ranks fully-evaluated
-//                facilities with the usual (value desc, id asc) order.
+//                aggregates only, no entry ever scanned) and evaluates
+//                nothing exactly. Zero-bound slots are settled as exact 0.
+//       refine   the last sweep task hands the bounds to a TopKCoordinator.
+//                It keeps at most num_threads single-slot tasks in flight,
+//                each one exact SO_s(f) on one shard; every completion
+//                updates cur(f) = Σ known exact + Σ unknown UB and launches
+//                the next slot: the incomplete facility with the largest
+//                cur(f) (ties by id), its highest-UB shard first.
+//       stop     nothing in flight and every incomplete facility has
+//                cur(f) < τ, the k-th largest complete value — so
+//                SO(U, f) ≤ cur(f) < τ ≤ k-th exact value for every
+//                facility left out, strictly, even on ties.
 //     Answers are bit-identical to the exhaustive gather: the winners'
 //     values are the same per-shard sums in the same shard order, and the
-//     pruned facilities are provably strictly below the k-th value.
+//     pruned facilities are provably strictly below the k-th value. One
+//     slot per task keeps every pool task short, so a concurrent sum's
+//     shard tasks never queue behind a whole top-k round.
 //     Cache keys are unchanged; only hit accounting moves — a top-k
 //     response reports cache_hit solely for memoised whole-answer hits,
-//     while per-(facility, shard) hits inside the rounds still count in
-//     the hit/miss metrics.
+//     while per-(facility, shard) hits inside the refinement still count
+//     in the hit/miss metrics.
 #ifndef TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 #define TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 
@@ -73,6 +71,7 @@
 #include "runtime/serving_engine.h"
 #include "runtime/shard_router.h"
 #include "runtime/thread_pool.h"
+#include "runtime/topk_coordinator.h"
 #include "runtime/trace.h"
 #include "storage/checkpoint.h"
 #include "storage/durability.h"
@@ -233,10 +232,11 @@ class ShardedEngine : public ServingEngine {
 
   /// SubmitAsync with a caller-owned trace context: the scatter/gather path
   /// appends its spans (queue wait, per-shard sweep/eval/refine, coordinate,
-  /// merge) to `trace`, and the CALLER finishes it (Tracer::Finish) — the
-  /// net server shares one frame trace across all of a frame's sub-queries
-  /// this way. Passing nullptr is identical to the two-argument overload:
-  /// scatter queries get an engine-owned trace finished just before `done`.
+  /// merge — at most one refine span per shard) to `trace`, and the CALLER
+  /// finishes it (Tracer::Finish) — the net server shares one frame trace
+  /// across all of a frame's sub-queries this way. Passing nullptr is
+  /// identical to the two-argument overload: scatter queries get an
+  /// engine-owned trace finished just before `done`.
   /// `start_ns` (optional) backdates the query's latency-histogram sample
   /// to an earlier NowNs() reading — the net server passes the frame's
   /// receive timestamp, which both amortizes one clock read across the
@@ -245,12 +245,12 @@ class ShardedEngine : public ServingEngine {
   void SubmitAsync(QueryRequest request, TraceContextPtr trace,
                    ResponseCallback done, uint64_t start_ns = 0) override;
 
-  /// Round-1 bound sweep over the owned shards, packaged for a remote
-  /// coordinator (serves kBound frames): per-facility Σ UB_s(f) over the
-  /// owned shards plus the facilities the sweep settled exactly. Runs the
-  /// SAME per-shard cursor machinery as a local pruned top-k query round 1
-  /// — the sweep is advisory there and is advisory here; the coordinator's
-  /// threshold proof is what makes pruning sound.
+  /// Bound sweep over the owned shards, packaged for a remote coordinator
+  /// (serves kBound frames): per-facility Σ UB_s(f) over the owned shards
+  /// plus the facilities settled exactly. Runs the SAME sweep and
+  /// best-first refinement as a local pruned top-k query; the settled
+  /// values are advisory — the remote coordinator's threshold proof is
+  /// what makes its pruning sound.
   void TopKBoundSweepAsync(size_t k, BoundSweepCallback done) override;
 
   /// Submits every request, then blocks for all answers (in request order).
@@ -294,20 +294,24 @@ class ShardedEngine : public ServingEngine {
   void ExecuteShard(const std::shared_ptr<GatherState>& state, size_t shard,
                     uint64_t post_ns);
   void Gather(GatherState* state);
-  /// Round 1 of the pruned top-k protocol: one shard's bound sweep plus
-  /// cursor-driven exact evaluation of its candidate frontier.
-  void ExecuteTopKBoundRound(const std::shared_ptr<GatherState>& state,
-                             size_t shard, uint64_t post_ns);
-  /// Round 2: one shard refines the coordinator's surviving candidates.
-  void ExecuteTopKRefineRound(const std::shared_ptr<GatherState>& state,
-                              size_t shard, uint64_t post_ns);
-  /// Coordinator: runs in the last round-1 task; computes the global k-th
-  /// threshold, selects candidates, and either finishes or fans out round 2.
+  /// Pruned top-k, step 1: one shard's bound sweep (bounds only).
+  void ExecuteTopKSweep(const std::shared_ptr<GatherState>& state,
+                        size_t shard, uint64_t post_ns);
+  /// Runs in the last sweep task: builds the query's TopKCoordinator and
+  /// launches its first slots.
   void CoordinateTopK(const std::shared_ptr<GatherState>& state);
+  /// Launches every slot the coordinator wants started, then releases
+  /// `lock` (the state's coord_mu); finishes the query on kDone. `round` is
+  /// the dependency depth of the calling task.
+  void AdvanceTopK(const std::shared_ptr<GatherState>& state,
+                   std::unique_lock<std::mutex> lock, uint32_t round);
+  /// One exact SO_s(f) evaluation for the coordinator.
+  void ExecuteTopKSlot(const std::shared_ptr<GatherState>& state,
+                       TopKCoordinator::Slot slot, uint32_t round);
   /// Final merge of a pruned top-k query; fulfils the promise.
   void FinishTopK(GatherState* state);
   /// Final merge of a TopKBoundSweepAsync: sums per-shard bounds and
-  /// collects exactly-settled facilities instead of ranking.
+  /// collects the settled facilities instead of ranking.
   void FinishBoundSweep(GatherState* state);
   /// The ranking-and-memoisation tail both top-k paths share: sorts
   /// `complete` (exact per-facility totals) by (value desc, id asc),

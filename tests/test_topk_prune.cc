@@ -1,20 +1,25 @@
 // Tests for bound-and-prune distributed top-k (src/runtime/sharded_engine
-// bound rounds + src/tqtree TQTree::UpperBound):
+// bound sweep + best-first slot refinement, src/tqtree TQTree::UpperBound):
 //   * the aggregate bound is sound — never below the exact service value —
 //     at every descent budget, tree mode and service model tested;
 //   * pruned top-k answers agree bit-for-bit with the exhaustive gather and
 //     with the brute-force ranked oracle on NYF for k ∈ {1, 5, 64} ×
 //     shards ∈ {1, 2, 4, 8}, including tie-heavy value distributions;
 //   * the protocol actually prunes: facilities_evaluated stays below the
-//     facilities × shards exhaustive-sweep count, with the skipped slots
-//     accounted in facilities_pruned;
+//     facilities × shards exhaustive-sweep count (and below the replaced
+//     two-round protocol's count), with the skipped slots accounted in
+//     facilities_pruned and one pool task per evaluated slot;
+//   * a traced pruned top-k keeps its span count inside the trace budget;
 //   * the adaptive large-k switch (prune_skip_ratio) routes k ≥ ratio·|F|
 //     queries straight to the exhaustive gather, same answers.
-// Runs under ASan+UBSan and TSan in CI (two-round gathers hop threads).
+// Runs under ASan+UBSan and TSan in CI (slot tasks hop pool threads).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <future>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -211,8 +216,16 @@ TEST(TopKPrune, EvaluatesStrictlyFewerFacilitiesThanExhaustive) {
   EXPECT_LT(m.facilities_evaluated, slots)
       << "pruned top-k regressed to the exhaustive sweep";
   EXPECT_EQ(m.facilities_evaluated + m.facilities_pruned, slots);
-  EXPECT_GE(m.prune_rounds, 1u);
-  EXPECT_LE(m.prune_rounds, 2u);
+  // One bound-sweep task per shard, then one task per evaluated slot: no
+  // pool task ever runs more than a single exact evaluation, which is what
+  // bounds how long a concurrent query's shard tasks can queue behind it.
+  EXPECT_EQ(m.shard_tasks, kShards + m.facilities_evaluated);
+  // The two-round protocol this replaced evaluated 104 slots on this input;
+  // global best-first order must never need more.
+  EXPECT_LE(m.facilities_evaluated, 104u);
+  // Rounds count the sweep plus the longest chain of dependent slot tasks.
+  EXPECT_GE(m.prune_rounds, 2u);
+  EXPECT_LE(m.prune_rounds, 1u + m.facilities_evaluated);
 
   // The exhaustive engine leaves the prune counters untouched.
   ShardedEngine exhaustive(users, routes, Options(kShards, model, false));
@@ -221,6 +234,42 @@ TEST(TopKPrune, EvaluatesStrictlyFewerFacilitiesThanExhaustive) {
   EXPECT_EQ(me.facilities_evaluated, 0u);
   EXPECT_EQ(me.facilities_pruned, 0u);
   EXPECT_EQ(me.prune_rounds, 0u);
+}
+
+// A traced pruned top-8 emits a bounded span set — the sweep's queue wait
+// and sweep per shard, one coordinate span, at most one refine span per
+// shard and the merge — however many slots it evaluated, so it fits in one
+// TraceContext without dropping spans.
+TEST(TopKPrune, TracedTopKFitsTheSpanBudget) {
+  const TrajectorySet users = presets::NyfCheckins(1500);
+  const TrajectorySet routes = presets::NyBusRoutes(64, 8);
+  const ServiceModel model =
+      ServiceModel::PointCount(200.0, Normalization::kNone);
+  constexpr size_t kShards = 8;
+  ShardedEngine engine(users, routes, Options(kShards, model, true));
+  auto trace = std::make_shared<runtime::TraceContext>("topk", 8);
+  std::promise<QueryResponse> promise;
+  engine.SubmitAsync(QueryRequest::TopK(8), trace,
+                     [&promise](QueryResponse response) {
+                       promise.set_value(std::move(response));
+                     });
+  const QueryResponse got = promise.get_future().get();
+  ASSERT_EQ(got.ranked.size(), 8u);
+
+  const MetricsView m = engine.metrics().Read();
+  EXPECT_GT(m.facilities_evaluated, runtime::TraceContext::kMaxSpans)
+      << "too few slots to show that a span per slot would overflow";
+  EXPECT_EQ(trace->dropped_spans(), 0u);
+  size_t sweeps = 0;
+  size_t refines = 0;
+  for (size_t i = 0; i < trace->num_spans(); ++i) {
+    const std::string name = trace->span(i).name;
+    sweeps += name == "shard_sweep";
+    refines += name == "shard_refine";
+  }
+  EXPECT_EQ(sweeps, kShards);
+  EXPECT_GE(refines, 1u);
+  EXPECT_LE(refines, kShards);
 }
 
 // Memoised answers and invalidation are protocol-independent: a repeated
