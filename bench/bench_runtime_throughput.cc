@@ -1,7 +1,6 @@
 // Concurrent runtime throughput on the NYF preset: queries/sec of the
-// unsharded serving engine (src/runtime/engine.h) at 1/2/4/8 worker
-// threads, then the sharded scatter/gather engine
-// (src/runtime/sharded_engine.h) across a shards × threads matrix.
+// serving engine (src/runtime/sharded_engine.h) across a shards × threads
+// matrix (shards=1 is the unsharded configuration).
 //
 // Two series per configuration:
 //   * qps        — result cache disabled: raw compute scaling of the
@@ -9,20 +8,20 @@
 //   * cached_qps — warm sharded LRU cache: the serving steady state where
 //                  popular facilities repeat.
 //
-// A third section measures the WRITE path: publishes/sec and p50/p99
-// publish latency of forked (path-copying) snapshot publishes at batch
-// sizes 1/16/256, plus nodes_copied per publish against the tree's total —
-// the number that proves a publish is O(batch × depth), not a full clone.
+// A second section measures the WRITE path on a 1-shard engine:
+// publishes/sec and p50/p99 publish latency of forked (path-copying)
+// snapshot publishes at batch sizes 1/16/256, plus nodes_copied per publish
+// against the tree's total — the number that proves a publish is
+// O(batch × depth), not a full clone.
 //
-// A fourth section measures BOUND-AND-PRUNE top-k: per (shards, k), the
-// fraction of (facility, shard) slots the pruned protocol exactly
-// evaluates (exhaustive sweep = 1.0) and the pruned vs exhaustive query
-// latency. CI gates on its facilities_evaluated staying below
-// total_facilities for k=10, shards=4.
+// A third section measures BOUND-AND-PRUNE top-k: per (shards, k), the
+// fraction of (facility, shard) slots the protocol exactly evaluates (an
+// exhaustive sweep would be 1.0) and the query latency. CI gates on its
+// facilities_evaluated staying below total_facilities for k=10, shards=4.
 //
-// Besides the usual table + "# csv:" lines, emits four "# json:" lines
-// ("runtime_throughput", "runtime_throughput_sharded",
-// "runtime_write_path" and "runtime_topk_prune") so the
+// Besides the usual table + "# csv:" lines, emits three "# json:" lines
+// ("runtime_throughput_sharded", "runtime_write_path" and
+// "runtime_topk_prune") so the
 // BENCH_runtime.json trajectory can track read QPS, write scaling and
 // pruning effectiveness across PRs. Honors REPRO_SCALE / REPRO_FULL
 // (bench_util.h).
@@ -33,20 +32,17 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "runtime/engine.h"
 #include "runtime/sharded_engine.h"
 
 namespace {
 
-using tq::runtime::Engine;
-using tq::runtime::EngineOptions;
 using tq::runtime::QueryRequest;
 using tq::runtime::QueryResponse;
 using tq::runtime::ShardedEngine;
 using tq::runtime::ShardedEngineOptions;
 
 struct ThroughputResult {
-  size_t shards = 0;  // 0 = unsharded engine
+  size_t shards = 0;
   size_t threads = 0;
   double qps = 0.0;
   double cached_qps = 0.0;
@@ -54,10 +50,8 @@ struct ThroughputResult {
 
 // Wall-clock queries/sec for `num_queries` service-value queries issued
 // round-robin over the catalog. `warm_pass` first runs the same stream once
-// so a second, measured pass hits the cache. Works for both engine types —
-// they speak the same Submit/QueryRequest protocol.
-template <typename EngineT>
-double MeasureQps(EngineT* engine, size_t num_queries, bool warm_pass) {
+// so a second, measured pass hits the cache.
+double MeasureQps(ShardedEngine* engine, size_t num_queries, bool warm_pass) {
   const size_t num_fac = engine->snapshot()->catalog->size();
   const auto run = [&]() {
     std::vector<std::future<QueryResponse>> futures;
@@ -92,7 +86,8 @@ int main() {
       std::max<size_t>(env.reps * routes.size(), 4 * routes.size());
 
   const unsigned cores = std::thread::hardware_concurrency();
-  tq::bench::Banner("Runtime throughput — NYF preset, kMaxRRST serving");
+  tq::bench::Banner(
+      "Runtime throughput — NYF preset, kMaxRRST serving, shards × threads");
   std::printf("users=%zu facilities=%zu queries=%zu psi=%.0f beta=%zu "
               "cores=%u\n",
               users.size(), routes.size(), num_queries, env.DefaultPsi(),
@@ -101,56 +96,8 @@ int main() {
     std::printf("note: only %u hardware threads — thread-count scaling is "
                 "bounded by the machine, not the executor\n", cores);
   }
-  tq::bench::PrintSeriesHeader({"qps", "cached_qps"});
-
-  std::vector<ThroughputResult> results;
-  for (const size_t threads : {1u, 2u, 4u, 8u}) {
-    ThroughputResult r;
-    r.threads = threads;
-    {
-      EngineOptions options;
-      options.num_threads = threads;
-      options.cache_capacity = 0;  // raw compute scaling
-      options.tree.beta = env.DefaultBeta();
-      options.tree.model = model;
-      Engine engine(users, routes, options);
-      r.qps = MeasureQps(&engine, num_queries, /*warm_pass=*/false);
-    }
-    {
-      EngineOptions options;
-      options.num_threads = threads;
-      options.cache_capacity = 4096;
-      options.tree.beta = env.DefaultBeta();
-      options.tree.model = model;
-      Engine engine(users, routes, options);
-      r.cached_qps = MeasureQps(&engine, num_queries, /*warm_pass=*/true);
-    }
-    results.push_back(r);
-    char label[32];
-    std::snprintf(label, sizeof(label), "threads=%zu", threads);
-    tq::bench::PrintTimeRow(label, {"qps", "cached_qps"},
-                            {r.qps, r.cached_qps});
-  }
-
-  const double speedup =
-      results.front().qps > 0 ? results.back().qps / results.front().qps : 0;
-  std::printf("\nspeedup (8 threads vs 1, uncached): %.2fx\n", speedup);
-
-  std::printf("# json: {\"bench\":\"runtime_throughput\",\"preset\":\"nyf\","
-              "\"users\":%zu,\"facilities\":%zu,\"queries\":%zu,"
-              "\"cores\":%u,\"results\":[",
-              users.size(), routes.size(), num_queries, cores);
-  for (size_t i = 0; i < results.size(); ++i) {
-    std::printf("%s{\"threads\":%zu,\"qps\":%.1f,\"cached_qps\":%.1f}",
-                i == 0 ? "" : ",", results[i].threads, results[i].qps,
-                results[i].cached_qps);
-  }
-  std::printf("],\"speedup_8v1\":%.3f}\n", speedup);
-
-  // Sharded scatter/gather: the shards × threads matrix. Shard count 1 vs
-  // the unsharded series above isolates the scatter/gather overhead; higher
-  // shard counts show partitioned-tree scaling.
-  tq::bench::Banner("Sharded runtime throughput — shards × threads matrix");
+  // The shards × threads matrix: shards=1 is the unsharded configuration;
+  // higher shard counts show partitioned-tree scaling.
   tq::bench::PrintSeriesHeader({"qps", "cached_qps"});
   std::vector<ThroughputResult> sharded_results;
   for (const size_t shards : {1u, 2u, 4u, 8u}) {
@@ -216,16 +163,18 @@ int main() {
     double nodes_copied_per_publish = 0.0;
     double pages_shared_per_publish = 0.0;
   };
-  tq::runtime::EngineOptions options;
+  ShardedEngineOptions options;
+  options.num_shards = 1;
   options.num_threads = 2;
   options.cache_capacity = 0;
   options.tree.beta = env.DefaultBeta();
   options.tree.mode = tq::TrajMode::kSegmented;
   options.tree.model = model;
-  Engine engine(users, routes, options);
-  const size_t total_nodes = engine.snapshot()->tree->num_nodes();
+  ShardedEngine engine(users, routes, options);
+  const tq::TQTree& tree = *engine.snapshot()->shards[0]->tree;
+  const size_t total_nodes = tree.num_nodes();
   std::printf("tree: %zu nodes over %zu pages (segmented)\n", total_nodes,
-              engine.snapshot()->tree->num_pages());
+              tree.num_pages());
   tq::bench::PrintSeriesHeader(
       {"pub/s", "p50_ms", "p99_ms", "nodes_cp"});
   std::vector<WriteResult> write_results;
@@ -239,10 +188,10 @@ int main() {
     tq::Timer total_timer;
     for (size_t p = 0; p < r.publishes; ++p) {
       tq::runtime::UpdateBatch batch;
-      const auto snap = engine.snapshot();
       for (size_t i = 0; i < batch_size; ++i) {
+        // Ids below users.size() are the initial users, in order.
         const auto id = static_cast<uint32_t>(cursor++ % users.size());
-        const auto pts = snap->users->points(id);
+        const auto pts = users.points(id);
         batch.inserts.emplace_back(pts.begin(), pts.end());
         batch.removes.push_back(id);
       }
@@ -286,10 +235,10 @@ int main() {
   }
   std::printf("]}\n");
 
-  // Bound-and-prune top-k: evaluated fraction and latency against the
-  // exhaustive gather. Cache capacity 0 so every query runs the full
-  // protocol (no memoised-answer shortcuts, no per-facility hits).
-  tq::bench::Banner("Distributed top-k — bound-and-prune vs exhaustive");
+  // Bound-and-prune top-k: evaluated fraction and latency, including where
+  // pruning degrades (k=100 ≈ |F|). Cache capacity 0 so every query runs
+  // the full protocol (no memoised-answer shortcuts, no per-facility hits).
+  tq::bench::Banner("Sharded top-k — bound-and-prune");
   struct PruneResult {
     size_t shards = 0;
     size_t k = 0;
@@ -297,27 +246,18 @@ int main() {
     uint64_t total_facilities = 0;  // (facility, shard) evaluation slots
     double evaluated_fraction = 0.0;
     double pruned_ms = 0.0;
-    double exhaustive_ms = 0.0;
   };
   std::vector<PruneResult> prune_results;
-  tq::bench::PrintSeriesHeader({"eval_frac", "pruned_ms", "exhaust_ms"});
+  tq::bench::PrintSeriesHeader({"eval_frac", "pruned_ms"});
   const size_t prune_reps = std::max<size_t>(3, env.reps);
   for (const size_t shards : {1u, 4u, 8u}) {
     ShardedEngineOptions pruned_options;
     pruned_options.num_shards = shards;
     pruned_options.num_threads = 4;
     pruned_options.cache_capacity = 0;
-    pruned_options.prune_topk = true;
-    // This series measures the bound-and-prune PROTOCOL itself, including
-    // where it degrades (k=100 ≈ |F|) — pin the adaptive large-k skip off
-    // so the row does not silently measure the exhaustive path instead.
-    pruned_options.prune_skip_ratio = 2.0;
     pruned_options.tree.beta = env.DefaultBeta();
     pruned_options.tree.model = model;
     ShardedEngine pruned(users, routes, pruned_options);
-    ShardedEngineOptions exhaustive_options = pruned_options;
-    exhaustive_options.prune_topk = false;
-    ShardedEngine exhaustive(users, routes, exhaustive_options);
     for (const size_t k : {1u, 10u, 100u}) {
       PruneResult r;
       r.shards = shards;
@@ -332,16 +272,11 @@ int main() {
           (m1.facilities_evaluated - m0.facilities_evaluated) / prune_reps;
       r.evaluated_fraction = static_cast<double>(r.facilities_evaluated) /
                              static_cast<double>(r.total_facilities);
-      r.exhaustive_ms = 1e3 * tq::bench::TimeAvgSeconds(prune_reps, [&]() {
-        (void)exhaustive.Submit(tq::runtime::QueryRequest::TopK(k)).get();
-      });
       prune_results.push_back(r);
       char label[48];
       std::snprintf(label, sizeof(label), "shards=%zu,k=%zu", shards, k);
-      tq::bench::PrintTimeRow(label,
-                              {"eval_frac", "pruned_ms", "exhaust_ms"},
-                              {r.evaluated_fraction, r.pruned_ms,
-                               r.exhaustive_ms});
+      tq::bench::PrintTimeRow(label, {"eval_frac", "pruned_ms"},
+                              {r.evaluated_fraction, r.pruned_ms});
     }
   }
 
@@ -353,11 +288,11 @@ int main() {
     std::printf(
         "%s{\"shards\":%zu,\"k\":%zu,\"facilities_evaluated\":%llu,"
         "\"total_facilities\":%llu,\"evaluated_fraction\":%.4f,"
-        "\"pruned_ms\":%.3f,\"exhaustive_ms\":%.3f}",
+        "\"pruned_ms\":%.3f}",
         i == 0 ? "" : ",", r.shards, r.k,
         static_cast<unsigned long long>(r.facilities_evaluated),
         static_cast<unsigned long long>(r.total_facilities),
-        r.evaluated_fraction, r.pruned_ms, r.exhaustive_ms);
+        r.evaluated_fraction, r.pruned_ms);
   }
   std::printf("]}\n");
   return 0;

@@ -1,6 +1,7 @@
 // Concurrent serving: run the TQ-tree behind the multi-threaded query
-// engine — shared-nothing snapshot reads, copy-on-write updates, and a
-// sharded result cache — instead of calling the evaluators inline.
+// engine — lock-free snapshot reads, copy-on-write updates, and a result
+// cache — instead of calling the evaluators inline. One shard here; raise
+// num_shards to partition the users across several trees.
 //
 //   ./concurrent_serving
 #include <cstdio>
@@ -8,13 +9,14 @@
 #include <vector>
 
 #include "datagen/presets.h"
-#include "runtime/engine.h"
+#include "runtime/sharded_engine.h"
 
 int main() {
   // 1. Data and model, as in quickstart: taxi trips vs candidate bus routes.
   tq::TrajectorySet users = tq::presets::NytTrips(20000);
   tq::TrajectorySet routes = tq::presets::NyBusRoutes(32, 24);
-  tq::runtime::EngineOptions options;
+  tq::runtime::ShardedEngineOptions options;
+  options.num_shards = 1;
   options.num_threads = 4;
   options.cache_capacity = 1024;
   options.tree.beta = 64;
@@ -23,7 +25,8 @@ int main() {
   // 2. The engine bulk-builds the index and publishes snapshot version 1.
   //    From here on, any thread may Submit queries; none of them ever block
   //    each other or the writer.
-  tq::runtime::Engine engine(std::move(users), std::move(routes), options);
+  tq::runtime::ShardedEngine engine(std::move(users), std::move(routes),
+                                   options);
   std::printf("engine serving %zu routes at snapshot v%llu\n",
               engine.snapshot()->catalog->size(),
               static_cast<unsigned long long>(engine.snapshot()->version));
@@ -51,7 +54,7 @@ int main() {
               ranked.ranked.front().value == best ? "yes" : "no");
 
   // 4. Live update: a new commuter cohort appears along the winning route.
-  //    The writer clones the tree copy-on-write and publishes version 2;
+  //    The writer forks the tree copy-on-write and publishes version 2;
   //    queries that were in flight keep reading version 1 until they finish.
   const auto stops = engine.snapshot()->facilities->points(best_id);
   tq::runtime::UpdateBatch batch;

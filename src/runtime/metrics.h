@@ -1,12 +1,13 @@
 // Lock-free operational counters + latency histograms for the query runtime.
 //
-// One MetricsRegistry lives inside each runtime::Engine; every worker thread
-// bumps the atomics as it executes queries, and the per-query QueryStats
-// instrumentation (nodes visited, entries scanned, ...) is folded in through
-// RecordQueryStats so serving-side dashboards see the same counters the
-// ablation benches do. Read() takes a consistent-enough snapshot for
-// monitoring (each field is individually atomic; cross-field skew of a few
-// in-flight queries is acceptable by design).
+// One MetricsRegistry lives inside each serving engine (ShardedEngine,
+// RemoteShardSet); every worker thread bumps the atomics as it executes
+// queries, and the per-query QueryStats instrumentation (nodes visited,
+// entries scanned, ...) is folded in through RecordQueryStats so
+// serving-side dashboards see the same counters the ablation benches do.
+// Read() takes a consistent-enough snapshot for monitoring (each field is
+// individually atomic; cross-field skew of a few in-flight queries is
+// acceptable by design).
 //
 // The counter set is declared ONCE, in the TQ_METRICS_COUNTERS X-macro
 // below; the MetricsView fields, the registry atomics, Read(), ToJson()
@@ -37,9 +38,9 @@ namespace tq::runtime {
 //   cache_*                  result-cache hits / misses / LRU evictions /
 //                            entries invalidated by republishes
 //   snapshots_published      engine-wide snapshot swaps
-//   shard_tasks              scatter pool tasks executed (sharded only):
+//   shard_tasks              scatter pool tasks executed (ShardedEngine):
 //                            one per shard, plus one per evaluated slot
-//                            of a pruned top-k
+//                            of a top-k
 //   shard_publishes          individual shard snapshots republished (a
 //                            publish touching 2 of 8 shards counts 2)
 //   trajectories_*           write-batch insert / remove totals
@@ -224,7 +225,7 @@ class MetricsRegistry {
     publish_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
 
-  /// Folds one pruned top-k gather's work accounting into the registry.
+  /// Folds one top-k's bound-and-prune work accounting into the registry.
   void AddTopKPruneWork(uint64_t evaluated, uint64_t pruned,
                         uint64_t rounds) {
     facilities_evaluated_.fetch_add(evaluated, std::memory_order_relaxed);

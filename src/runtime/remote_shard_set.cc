@@ -433,12 +433,6 @@ QueryResponse RemoteShardSet::RunSum(FacilityId facility,
 QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
   const size_t num_fac = num_facilities_;
   const size_t eff_k = std::min(k, static_cast<size_t>(num_fac));
-  const bool prune =
-      options_.prune_topk &&
-      static_cast<double>(eff_k) <
-          options_.prune_skip_ratio * static_cast<double>(num_fac);
-  if (!prune) return RunTopKExhaustive(k, trace);
-
   QueryResponse response;
   response.kind = QueryKind::kTopK;
   response.snapshot_version = snapshot_version();
@@ -567,74 +561,15 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
     for (size_t w : parts) sum += exact[w][f];
     complete.push_back(RankedFacility{static_cast<FacilityId>(f), sum});
   }
-  Rank(std::move(complete), eff_k, &response);
-  if (version != 0) response.snapshot_version = version;
-  if (trace != nullptr) trace->AddSpan(kSpanMerge, -1, mg_t0, NowNs());
-  MarkPartialIfDegraded(parts.size(), &response);
-  return response;
-}
-
-QueryResponse RemoteShardSet::RunTopKExhaustive(size_t k,
-                                                TraceContext* trace) {
-  QueryResponse response;
-  response.kind = QueryKind::kTopK;
-  response.snapshot_version = snapshot_version();
-  const size_t num_fac = num_facilities_;
-  const size_t eff_k = std::min(k, static_cast<size_t>(num_fac));
-  std::vector<FacilityId> all(num_fac);
-  for (size_t f = 0; f < num_fac; ++f) all[f] = static_cast<FacilityId>(f);
-
-  const size_t n = channels_.size();
-  std::vector<size_t> parts = AliveWorkers();
-  std::vector<std::vector<double>> values(n);
-  uint64_t version = 0;
-  const uint64_t sc_t0 = trace != nullptr ? NowNs() : 0;
-  RunWave(
-      &parts,
-      [&all](size_t) { return net::NetRequest::Sum(all); },
-      [&](size_t w, net::NetResponse&& resp) -> Status {
-        if (!resp.status.ok()) return resp.status;
-        if (resp.sums.size() != num_fac) {
-          return Status::Internal("exhaustive answer-count mismatch");
-        }
-        values[w].resize(num_fac);
-        for (size_t f = 0; f < num_fac; ++f) {
-          if (resp.sums[f].code != StatusCode::kOk) {
-            return Status::Internal("exhaustive per-query error");
-          }
-          values[w][f] = resp.sums[f].value;
-        }
-        version = std::max(version, resp.snapshot_version);
-        return Status::OK();
-      });
-  if (trace != nullptr) trace->AddSpan(kSpanScatter, -1, sc_t0, NowNs());
-  if (parts.empty()) {
-    response.status = Status::Unavailable("no workers available for top-k");
-    metrics_.AddCoordPartial();
-    return response;
-  }
-  const uint64_t mg_t0 = trace != nullptr ? NowNs() : 0;
-  std::vector<RankedFacility> complete;
-  complete.reserve(num_fac);
-  for (size_t f = 0; f < num_fac; ++f) {
-    double sum = 0.0;
-    for (size_t w : parts) sum += values[w][f];
-    complete.push_back(RankedFacility{static_cast<FacilityId>(f), sum});
-  }
-  Rank(std::move(complete), eff_k, &response);
-  if (version != 0) response.snapshot_version = version;
-  if (trace != nullptr) trace->AddSpan(kSpanMerge, -1, mg_t0, NowNs());
-  MarkPartialIfDegraded(parts.size(), &response);
-  return response;
-}
-
-void RemoteShardSet::Rank(std::vector<RankedFacility> complete, size_t k,
-                          QueryResponse* response) {
-  const size_t take = std::min(k, complete.size());
+  const size_t take = std::min(eff_k, complete.size());
   std::partial_sort(complete.begin(), complete.begin() + take, complete.end(),
                     RankedBefore);
   complete.resize(take);
-  response->ranked = std::move(complete);
+  response.ranked = std::move(complete);
+  if (version != 0) response.snapshot_version = version;
+  if (trace != nullptr) trace->AddSpan(kSpanMerge, -1, mg_t0, NowNs());
+  MarkPartialIfDegraded(parts.size(), &response);
+  return response;
 }
 
 std::vector<uint32_t> RemoteShardSet::ApplyUpdates(const UpdateBatch& batch) {

@@ -18,6 +18,9 @@
 //   round 2   one plain kSum frame per worker for the candidates that
 //             worker has not settled; merge, rank by (value desc, id asc).
 //
+// Every k ≥ 1 runs this protocol. At k = |F| each worker's local
+// coordinator settles every facility during round 1, so no round 2 is sent.
+//
 // Bit-identity: every per-facility total is a sum of per-shard values in
 // ascending shard order — workers own contiguous ascending shard ranges and
 // are summed in worker order, and a worker's non-owned shards contribute an
@@ -79,11 +82,6 @@ struct RemoteShardSetOptions {
   /// timerfd) and the silence threshold that declares a worker dead.
   uint64_t heartbeat_period_ms = 1000;
   uint64_t heartbeat_timeout_ms = 5000;
-  /// Top-k protocol selection, mirroring ShardedEngineOptions: skip the
-  /// bound round (straight to exhaustive kSum scatter) once the effective k
-  /// reaches `prune_skip_ratio` of the catalog.
-  bool prune_topk = true;
-  double prune_skip_ratio = 0.5;
 };
 
 class RemoteShardSet : public ServingEngine {
@@ -189,11 +187,6 @@ class RemoteShardSet : public ServingEngine {
   // nullable — the net server's sampled frame trace).
   QueryResponse RunSum(FacilityId facility, TraceContext* trace);
   QueryResponse RunTopK(size_t k, TraceContext* trace);
-  /// Exhaustive fallback: kSum of every facility to every alive worker.
-  QueryResponse RunTopKExhaustive(size_t k, TraceContext* trace);
-  /// Ranks exact per-facility totals: (value desc, id asc), truncate to k.
-  static void Rank(std::vector<RankedFacility> complete, size_t k,
-                   QueryResponse* response);
   /// Stamps the partial-result marker when fewer workers answered than are
   /// configured (StatusCode::kUnavailable + coord_partial metric).
   void MarkPartialIfDegraded(size_t answered, QueryResponse* response);

@@ -6,6 +6,8 @@
 // connections to shard-worker processes. This interface is exactly the
 // slice of engine behaviour the front-end consumes, nothing more:
 //
+//   * the request/response types every engine speaks (QueryRequest,
+//     QueryResponse, UpdateBatch);
 //   * async query dispatch (SubmitAsync) and synchronous write application
 //     (ApplyUpdates) — the two data paths;
 //   * metrics + tracer access, ψ, snapshot version and per-shard
@@ -28,13 +30,56 @@
 #include <vector>
 
 #include "common/status.h"
-#include "runtime/engine.h"
+#include "geom/point.h"
+#include "query/query_stats.h"
+#include "query/topk.h"
 #include "runtime/histogram.h"
 #include "runtime/metrics.h"
 #include "runtime/trace.h"
 #include "storage/durability.h"
 
 namespace tq::runtime {
+
+/// Query kinds a serving engine answers.
+enum class QueryKind {
+  kServiceValue,  // SO(U, f) for one facility (Algorithms 1–2)
+  kTopK,          // kMaxRRST (Algorithms 3–4)
+};
+
+struct QueryRequest {
+  QueryKind kind = QueryKind::kServiceValue;
+  FacilityId facility = 0;  // kServiceValue only
+  size_t k = 8;             // kTopK only
+
+  static QueryRequest ServiceValue(FacilityId f) {
+    return QueryRequest{QueryKind::kServiceValue, f, 0};
+  }
+  static QueryRequest TopK(size_t k) {
+    return QueryRequest{QueryKind::kTopK, 0, k};
+  }
+};
+
+struct QueryResponse {
+  QueryKind kind = QueryKind::kServiceValue;
+  /// Non-OK when the request was rejected (e.g. facility id out of range);
+  /// a serving engine must survive malformed tenant requests, so they come
+  /// back as errors, never crashes. All other fields are meaningless then.
+  Status status;
+  /// Version of the snapshot this answer was computed against.
+  uint64_t snapshot_version = 0;
+  bool cache_hit = false;
+  double value = 0.0;                  // kServiceValue
+  std::vector<RankedFacility> ranked;  // kTopK
+  QueryStats stats;                    // zero for cache hits
+};
+
+/// One writer batch: trajectories to add to the user set and/or trajectory
+/// ids to de-index. Applied atomically — queries see either the old snapshot
+/// or the new one, never a half-applied state.
+struct UpdateBatch {
+  std::vector<std::vector<Point>> inserts;
+  std::vector<uint32_t> removes;
+};
 
 /// Engine durability knobs and recovery report, re-exported so front-end
 /// code (net/, tools/) configures engines without spelling the storage

@@ -15,6 +15,10 @@
 
 namespace {
 
+/// TQ-tree descent budget of the per-facility bound sweep
+/// (TQTree::UpperBound): deeper = tighter bounds, more nodes visited.
+constexpr int kBoundLevels = 4;
+
 /// The top-k cache key of a sharded snapshot: every shard's generation, in
 /// shard order. Exact vector equality means a hit can never mix two shard
 /// states.
@@ -34,7 +38,7 @@ namespace tq::runtime {
 
 // Shared per-query scatter/gather state. Each scatter task writes only its
 // own shard's slots; the last task to finish (remaining hits zero) performs
-// the gather. For pruned top-k that last bound-sweep task starts the global
+// the gather. For top-k that last bound-sweep task starts the global
 // best-first refinement instead: single-(facility, shard) slot tasks whose
 // completions feed the coordinator under `coord_mu` and launch the next
 // slots. No pool thread ever blocks on another task.
@@ -42,17 +46,16 @@ struct ShardedEngine::GatherState {
   QueryRequest request;
   ShardedSnapshotPtr snap;  // pins every shard's tree for the query
   ResponseCallback done;    // fulfilled exactly once by the last finisher
-  std::vector<double> values;                   // kServiceValue: per shard
-  std::vector<std::vector<double>> fac_values;  // exhaustive kTopK: per shard
-  std::vector<QueryStats> stats;                // per shard
-  std::vector<uint8_t> hits;                    // per shard: all lookups hit
+  std::vector<double> values;     // kServiceValue: per shard
+  std::vector<QueryStats> stats;  // per shard
+  std::vector<uint8_t> hits;      // kServiceValue: per shard cache hit
   std::atomic<size_t> remaining{0};
   /// Span sink for this query, shared by every task; null when untraced.
   /// Tasks only APPEND — whoever started the trace finishes it (the net
   /// server for frame traces, the engine's done-wrapper for its own).
   TraceContextPtr trace;
 
-  // Pruned top-k state (prune_topk mode only).
+  // Top-k state.
   std::vector<std::vector<double>> bounds;  // bound sweep: per shard, per fac
   /// Guards `coord`, `rounds`, `refine_window` and, once the sweep is
   /// gathered, `stats`: slot tasks on the same shard run concurrently.
@@ -576,25 +579,12 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
   };
 
   const size_t n = state->snap->shards.size();
-  state->values.resize(n, 0.0);
-  state->fac_values.resize(n);
   state->stats.resize(n);
-  state->hits.assign(n, 0);
   state->remaining.store(n, std::memory_order_relaxed);
-  // Adaptive protocol selection: once the effective k covers
-  // prune_skip_ratio of the catalog, the answer must contain most
-  // facilities anyway — the bound sweep cannot prune enough to pay for
-  // itself, so the query skips straight to the exhaustive gather (same
-  // bit-identical answer, no sweep overhead).
-  const size_t num_fac = state->snap->catalog->size();
-  const bool prune =
-      options_.prune_topk &&
-      static_cast<double>(std::min(request.k, num_fac)) <
-          options_.prune_skip_ratio * static_cast<double>(num_fac);
   // Post timestamps feed the per-shard queue-wait spans; one clock read
   // covers the whole fan-out.
   const uint64_t post_ns = NowNs();
-  if (state->request.kind == QueryKind::kTopK && prune) {
+  if (topk) {
     // Best-first protocol: scatter one bound-sweep task per shard; the last
     // finisher starts the coordinator's slot-by-slot refinement.
     state->bounds.resize(n);
@@ -605,6 +595,8 @@ void ShardedEngine::SubmitAsync(QueryRequest request, TraceContextPtr trace,
     }
     return;
   }
+  state->values.resize(n, 0.0);
+  state->hits.assign(n, 0);
   for (size_t s = 0; s < n; ++s) {
     pool_.Post(
         [this, state, s, post_ns]() { ExecuteShard(state, s, post_ns); });
@@ -661,27 +653,11 @@ void ShardedEngine::ExecuteShard(const std::shared_ptr<GatherState>& state,
     state->trace->AddSpan("queue_wait", static_cast<int32_t>(shard_idx),
                           post_ns, t0);
   }
-  const ShardState& shard = *state->snap->shards[shard_idx];
-  const FacilityCatalog& catalog = *state->snap->catalog;
   QueryStats stats;
   bool hit = false;
-  if (state->request.kind == QueryKind::kServiceValue) {
-    state->values[shard_idx] = ShardServiceValue(
-        shard, catalog, state->request.facility, &stats, &hit);
-  } else {
-    // Top-k needs this shard's contribution for EVERY facility: a global
-    // winner may rank arbitrarily low within a single shard, so per-shard
-    // top-k lists alone cannot be merged soundly. Warm cache entries from
-    // earlier service-value traffic (same keys) short-circuit most of it.
-    std::vector<double>& values = state->fac_values[shard_idx];
-    values.resize(catalog.size(), 0.0);
-    hit = true;
-    for (uint32_t f = 0; f < catalog.size(); ++f) {
-      bool f_hit = false;
-      values[f] = ShardServiceValue(shard, catalog, f, &stats, &f_hit);
-      hit = hit && f_hit;
-    }
-  }
+  state->values[shard_idx] = ShardServiceValue(
+      *state->snap->shards[shard_idx], *state->snap->catalog,
+      state->request.facility, &stats, &hit);
   state->stats[shard_idx] = stats;
   state->hits[shard_idx] = hit ? 1 : 0;
   metrics_.AddShardTask();
@@ -716,43 +692,14 @@ void ShardedEngine::Gather(GatherState* state) {
   response.cache_hit = all_hit;
   response.stats = total;
 
-  if (state->request.kind == QueryKind::kServiceValue) {
-    // Disjoint user partition: SO(U, f) = Σ_s SO(U_s, f), summed in
-    // ascending shard order so the gather is deterministic.
-    double sum = 0.0;
-    for (const double v : state->values) sum += v;
-    response.value = sum;
-  } else {
-    const size_t num_fac = snap.catalog->size();
-    std::vector<RankedFacility> all(num_fac);
-    for (uint32_t f = 0; f < num_fac; ++f) {
-      double sum = 0.0;
-      for (size_t s = 0; s < n; ++s) sum += state->fac_values[s][f];
-      all[f] = RankedFacility{f, sum};
-    }
-    RankTopK(state, std::move(all), &response);
-  }
+  // Disjoint user partition: SO(U, f) = Σ_s SO(U_s, f), summed in ascending
+  // shard order so the gather is deterministic.
+  double sum = 0.0;
+  for (const double v : state->values) sum += v;
+  response.value = sum;
   metrics_.RecordQueryStats(total);
   if (merge_t0 != 0) state->trace->AddSpan("merge", -1, merge_t0, NowNs());
   state->done(std::move(response));
-}
-
-void ShardedEngine::RankTopK(GatherState* state,
-                             std::vector<RankedFacility> complete,
-                             QueryResponse* response) {
-  const size_t num_fac = state->snap->catalog->size();
-  const size_t k = std::min(state->request.k, num_fac);
-  TQ_CHECK(complete.size() >= k);
-  std::partial_sort(complete.begin(),
-                    complete.begin() + static_cast<std::ptrdiff_t>(k),
-                    complete.end(), RankedBefore);
-  complete.resize(k);
-  response->ranked = std::move(complete);
-  if (cache_.enabled()) {
-    metrics_.AddCacheMiss();
-    metrics_.AddCacheEvictions(cache_.PutTopK(
-        TopKKeyFor(*state->snap, state->request.k), response->ranked));
-  }
 }
 
 void ShardedEngine::ExecuteTopKSweep(const std::shared_ptr<GatherState>& state,
@@ -774,7 +721,7 @@ void ShardedEngine::ExecuteTopKSweep(const std::shared_ptr<GatherState>& state,
   std::vector<double>& bounds = state->bounds[shard_idx];
   bounds.resize(catalog.size(), 0.0);
   for (uint32_t f = 0; f < catalog.size(); ++f) {
-    bounds[f] = shard.tree->UpperBound(catalog.grid(f), options_.bound_levels,
+    bounds[f] = shard.tree->UpperBound(catalog.grid(f), kBoundLevels,
                                        &stats.nodes_visited);
   }
   state->stats[shard_idx] = stats;
@@ -885,9 +832,21 @@ void ShardedEngine::FinishTopK(GatherState* state) {
   response.stats = total;
 
   // Every facility the coordinator left incomplete is provably strictly
-  // below the k-th settled value; settled totals are the exhaustive
-  // gather's ascending-shard sums bit for bit.
-  RankTopK(state, state->coord->Settled(), &response);
+  // below the k-th settled value; settled totals are ascending-shard sums,
+  // bit for bit what an exhaustive per-facility gather would rank.
+  std::vector<RankedFacility> complete = state->coord->Settled();
+  const size_t k = std::min(state->request.k, snap.catalog->size());
+  TQ_CHECK(complete.size() >= k);
+  std::partial_sort(complete.begin(),
+                    complete.begin() + static_cast<std::ptrdiff_t>(k),
+                    complete.end(), RankedBefore);
+  complete.resize(k);
+  response.ranked = std::move(complete);
+  if (cache_.enabled()) {
+    metrics_.AddCacheMiss();
+    metrics_.AddCacheEvictions(cache_.PutTopK(
+        TopKKeyFor(snap, state->request.k), response.ranked));
+  }
   const uint64_t evaluated = state->coord->requested();
   metrics_.AddTopKPruneWork(evaluated, state->coord->num_slots() - evaluated,
                             state->rounds);

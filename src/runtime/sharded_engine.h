@@ -1,17 +1,14 @@
-// Scatter/gather serving across N sharded TQ-trees.
+// Scatter/gather serving across N sharded TQ-trees — the one in-process
+// serving engine (N = 1 is the unsharded case). The user set is partitioned
+// into N shards by Z-order range (shard_router.h), each shard owning its own
+// TQ-tree + evaluator over its own user subset:
 //
-// The unsharded Engine (engine.h) clones and republishes the WHOLE tree on
-// every write batch and answers every query from one tree. This layer
-// partitions the user set into N shards by Z-order range (shard_router.h),
-// each shard owning its own TQ-tree + evaluator over its own user subset:
-//
-//   * Queries scatter: a Submit fans one task per shard onto the thread
-//     pool; each task answers from its shard's frozen snapshot (cache-
-//     assisted), and the last finisher gathers — summing per-shard service
-//     values in ascending shard order, or merging per-shard per-facility
-//     value vectors into one ranked top-k list with the library's
-//     (value desc, facility id asc) tie-break. No pool thread ever blocks
-//     waiting on another task, so a pool of any size cannot deadlock.
+//   * Sums scatter: a Submit fans one task per shard onto the thread pool;
+//     each task answers from its shard's frozen snapshot (cache-assisted),
+//     and the last finisher gathers, summing per-shard service values in
+//     ascending shard order. Top-k runs the best-first protocol below. No
+//     pool thread ever blocks waiting on another task, so a pool of any
+//     size cannot deadlock.
 //   * Writers are incremental twice over: a trajectory insert/remove batch
 //     is routed per shard, and only the AFFECTED shards are forked
 //     (TQTree::Fork) and republished — and each fork path-copies only the
@@ -27,7 +24,7 @@
 //     segmented mode, all segments of a trajectory) stay within one shard,
 //     so no cross-shard deduplication is needed. Per-shard top-k lists
 //     alone would NOT compose — a global winner may rank low in every
-//     shard — so the gather works with per-facility values, not lists.
+//     shard — so top-k works with per-facility values, not lists.
 //     For integer-valued service models (point counts, endpoint counts)
 //     the gathered sums are exactly the unsharded values, bit for bit.
 //   * Top-k is a GLOBAL BEST-FIRST search over (facility, shard) slots,
@@ -46,15 +43,15 @@
 //                cur(f) < τ, the k-th largest complete value — so
 //                SO(U, f) ≤ cur(f) < τ ≤ k-th exact value for every
 //                facility left out, strictly, even on ties.
-//     Answers are bit-identical to the exhaustive gather: the winners'
-//     values are the same per-shard sums in the same shard order, and the
-//     pruned facilities are provably strictly below the k-th value. One
-//     slot per task keeps every pool task short, so a concurrent sum's
-//     shard tasks never queue behind a whole top-k round.
-//     Cache keys are unchanged; only hit accounting moves — a top-k
-//     response reports cache_hit solely for memoised whole-answer hits,
-//     while per-(facility, shard) hits inside the refinement still count
-//     in the hit/miss metrics.
+//     Answers are bit-identical to an exhaustive per-facility gather: the
+//     winners' values are the same per-shard sums in the same shard order,
+//     and the pruned facilities are provably strictly below the k-th value.
+//     Every k ≥ 1, up to |F|, runs this one protocol; a large k simply
+//     settles more facilities. One slot per task keeps every pool task
+//     short, so a concurrent sum's shard tasks never queue behind a whole
+//     top-k round. A top-k response reports cache_hit only for memoised
+//     whole-answer hits; per-(facility, shard) hits inside the refinement
+//     still count in the hit/miss metrics.
 #ifndef TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 #define TQCOVER_RUNTIME_SHARDED_ENGINE_H_
 
@@ -65,7 +62,6 @@
 #include <mutex>
 #include <vector>
 
-#include "runtime/engine.h"
 #include "runtime/metrics.h"
 #include "runtime/result_cache.h"
 #include "runtime/serving_engine.h"
@@ -73,8 +69,12 @@
 #include "runtime/thread_pool.h"
 #include "runtime/topk_coordinator.h"
 #include "runtime/trace.h"
+#include "service/evaluator.h"
+#include "service/facility_index.h"
 #include "storage/checkpoint.h"
 #include "storage/durability.h"
+#include "tqtree/tq_tree.h"
+#include "traj/dataset.h"
 
 namespace tq::runtime {
 
@@ -87,20 +87,6 @@ struct ShardedEngineOptions {
   /// Total service-value cache entries across lock shards; 0 disables.
   size_t cache_capacity = 4096;
   size_t cache_shards = 8;
-  /// Top-k protocol: bound-and-prune (default) or the exhaustive per-shard
-  /// facility sweep. Both return bit-identical answers; the switch exists
-  /// for A/B measurement and cross-checking tests.
-  bool prune_topk = true;
-  /// TQ-tree descent budget of the per-facility bound sweep
-  /// (TQTree::UpperBound): deeper = tighter bounds, more nodes visited.
-  int bound_levels = 4;
-  /// Adaptive protocol selection: when the effective k (min(k, |F|)) reaches
-  /// `prune_skip_ratio · |F|`, the bound sweep cannot prune enough to pay
-  /// for itself — the query goes straight to the exhaustive gather instead
-  /// (still bit-identical). > 1.0 never skips (the effective k tops out at
-  /// |F|, so exactly 1.0 still skips at k = |F|); 0.0 always skips (i.e.
-  /// always exhaustive, like prune_topk = false).
-  double prune_skip_ratio = 0.5;
   /// Engine-owned traces for scatter queries submitted WITHOUT a caller
   /// context: start one every `trace_sample` queries (0 = never). A trace
   /// costs an allocation plus span clock reads in every shard task, so
@@ -155,7 +141,7 @@ using ShardedSnapshotPtr = std::shared_ptr<const ShardedSnapshot>;
 /// Multi-threaded scatter/gather engine over sharded TQ-trees. Thread-safe:
 /// any thread may Submit / RunBatch / ApplyUpdates / snapshot() concurrently.
 /// Writers are serialized among themselves; readers never block. Speaks the
-/// same QueryRequest/QueryResponse/UpdateBatch protocol as Engine.
+/// QueryRequest/QueryResponse/UpdateBatch protocol of serving_engine.h.
 class ShardedEngine : public ServingEngine {
  public:
   ShardedEngine(TrajectorySet users, TrajectorySet facilities,
@@ -248,7 +234,7 @@ class ShardedEngine : public ServingEngine {
   /// Bound sweep over the owned shards, packaged for a remote coordinator
   /// (serves kBound frames): per-facility Σ UB_s(f) over the owned shards
   /// plus the facilities settled exactly. Runs the SAME sweep and
-  /// best-first refinement as a local pruned top-k query; the settled
+  /// best-first refinement as a local top-k query; the settled
   /// values are advisory — the remote coordinator's threshold proof is
   /// what makes its pruning sound.
   void TopKBoundSweepAsync(size_t k, BoundSweepCallback done) override;
@@ -291,10 +277,11 @@ class ShardedEngine : public ServingEngine {
 
   /// Per-shard task entry points. `post_ns` is the Post() timestamp of the
   /// task (0 when the query is untraced) — the queue-wait span.
+  /// A sum's per-shard task; the last one to finish runs Gather.
   void ExecuteShard(const std::shared_ptr<GatherState>& state, size_t shard,
                     uint64_t post_ns);
   void Gather(GatherState* state);
-  /// Pruned top-k, step 1: one shard's bound sweep (bounds only).
+  /// Top-k, step 1: one shard's bound sweep (bounds only).
   void ExecuteTopKSweep(const std::shared_ptr<GatherState>& state,
                         size_t shard, uint64_t post_ns);
   /// Runs in the last sweep task: builds the query's TopKCoordinator and
@@ -308,18 +295,13 @@ class ShardedEngine : public ServingEngine {
   /// One exact SO_s(f) evaluation for the coordinator.
   void ExecuteTopKSlot(const std::shared_ptr<GatherState>& state,
                        TopKCoordinator::Slot slot, uint32_t round);
-  /// Final merge of a pruned top-k query; fulfils the promise.
+  /// Final merge of a top-k query: ranks the settled facilities by (value
+  /// desc, id asc), truncates to k, memoises under the snapshot's
+  /// generation vector and fulfils the promise.
   void FinishTopK(GatherState* state);
   /// Final merge of a TopKBoundSweepAsync: sums per-shard bounds and
   /// collects the settled facilities instead of ranking.
   void FinishBoundSweep(GatherState* state);
-  /// The ranking-and-memoisation tail both top-k paths share: sorts
-  /// `complete` (exact per-facility totals) by (value desc, id asc),
-  /// truncates to k, and memoises under the snapshot's generation vector.
-  /// Keeping it in one place keeps the pruned path provably bit-identical
-  /// to the exhaustive one.
-  void RankTopK(GatherState* state, std::vector<RankedFacility> complete,
-                QueryResponse* response);
   /// Cache-assisted SO(U_s, f) on one shard's frozen snapshot.
   double ShardServiceValue(const ShardState& shard,
                            const FacilityCatalog& catalog, FacilityId f,

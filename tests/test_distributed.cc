@@ -151,24 +151,22 @@ TEST(Distributed, CoordinatorMatchesSingleProcessMatrixNyf) {
   }
 }
 
-TEST(Distributed, PrunedAndExhaustiveProtocolsAgree) {
+// One protocol from k = 1 up to k = |F|: at k = |F| every worker settles
+// every facility in the bound round, so the answer needs no refinement wave.
+TEST(Distributed, TopKProtocolAgreesFromSmallToFullK) {
   const TrajectorySet users = presets::NyfCheckins(800);
   const TrajectorySet fac = presets::NyBusRoutes(16, 10);
   ShardedEngine reference(users, fac, EngineOptions(4));
   std::vector<Worker> workers = MakeWorkers(users, fac, 4, 2);
-  for (const bool prune : {true, false}) {
-    RemoteShardSetOptions ro = CoordOptions(workers);
-    ro.prune_topk = prune;
-    RemoteShardSet coord(ro);
-    ASSERT_TRUE(coord.Connect().ok());
-    for (const size_t k : {size_t{1}, size_t{5}, fac.size()}) {
-      const QueryResponse want = RunQuery(reference, QueryRequest::TopK(k));
-      const QueryResponse got = RunQuery(coord, QueryRequest::TopK(k));
-      ASSERT_EQ(want.ranked.size(), got.ranked.size());
-      for (size_t i = 0; i < want.ranked.size(); ++i) {
-        EXPECT_EQ(want.ranked[i].id, got.ranked[i].id);
-        EXPECT_EQ(want.ranked[i].value, got.ranked[i].value);
-      }
+  RemoteShardSet coord(CoordOptions(workers));
+  ASSERT_TRUE(coord.Connect().ok());
+  for (const size_t k : {size_t{1}, size_t{5}, fac.size()}) {
+    const QueryResponse want = RunQuery(reference, QueryRequest::TopK(k));
+    const QueryResponse got = RunQuery(coord, QueryRequest::TopK(k));
+    ASSERT_EQ(want.ranked.size(), got.ranked.size());
+    for (size_t i = 0; i < want.ranked.size(); ++i) {
+      EXPECT_EQ(want.ranked[i].id, got.ranked[i].id);
+      EXPECT_EQ(want.ranked[i].value, got.ranked[i].value);
     }
   }
 }

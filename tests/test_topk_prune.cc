@@ -2,16 +2,16 @@
 // bound sweep + best-first slot refinement, src/tqtree TQTree::UpperBound):
 //   * the aggregate bound is sound — never below the exact service value —
 //     at every descent budget, tree mode and service model tested;
-//   * pruned top-k answers agree bit-for-bit with the exhaustive gather and
-//     with the brute-force ranked oracle on NYF for k ∈ {1, 5, 64} ×
-//     shards ∈ {1, 2, 4, 8}, including tie-heavy value distributions;
+//   * top-k answers agree bit-for-bit with the library's exhaustive ranking
+//     (TopKFacilitiesExhaustiveTQ on one tree over all users) and with the
+//     brute-force ranked oracle on NYF for k ∈ {1, 5, 64} ×
+//     shards ∈ {1, 2, 4, 8}, including tie-heavy value distributions, and
+//     at large k (|F|/2 and |F|) × shards {1, 4, 8};
 //   * the protocol actually prunes: facilities_evaluated stays below the
 //     facilities × shards exhaustive-sweep count (and below the replaced
 //     two-round protocol's count), with the skipped slots accounted in
 //     facilities_pruned and one pool task per evaluated slot;
-//   * a traced pruned top-k keeps its span count inside the trace budget;
-//   * the adaptive large-k switch (prune_skip_ratio) routes k ≥ ratio·|F|
-//     queries straight to the exhaustive gather, same answers.
+//   * a traced top-k keeps its span count inside the trace budget.
 // Runs under ASan+UBSan and TSan in CI (slot tasks hop pool threads).
 #include <gtest/gtest.h>
 
@@ -41,15 +41,28 @@ using runtime::ShardedEngine;
 using runtime::ShardedEngineOptions;
 
 ShardedEngineOptions Options(size_t shards, const ServiceModel& model,
-                             bool prune, size_t cache_capacity = 0) {
+                             size_t cache_capacity = 0) {
   ShardedEngineOptions so;
   so.num_shards = shards;
   so.num_threads = 4;
   so.cache_capacity = cache_capacity;
-  so.prune_topk = prune;
   so.tree.beta = 16;
   so.tree.model = model;
   return so;
+}
+
+// The library's exhaustive ranking on one tree over ALL users, with the
+// engine's tree parameters: every facility evaluated exactly, then sorted.
+// For the integer-valued models used here every per-shard partial sum is
+// exact, so the engine's gathered values must equal these bit for bit.
+std::vector<RankedFacility> ExhaustiveRanking(const TrajectorySet& users,
+                                              const TrajectorySet& facs,
+                                              const ShardedEngineOptions& so,
+                                              size_t k) {
+  TQTree tree(&users, so.tree);
+  const ServiceEvaluator eval(&users, so.tree.model);
+  const FacilityCatalog catalog(&facs, so.tree.model.psi);
+  return TopKFacilitiesExhaustiveTQ(&tree, catalog, eval, k).ranked;
 }
 
 // Brute-force ranked oracle: every facility's SO over the raw user set,
@@ -127,7 +140,7 @@ TEST(TQTreeUpperBound, ZeroBoundForUnreachableFacility) {
 
 // The acceptance sweep: on the NYF preset, the pruned protocol must
 // reproduce the brute-force ranked oracle (ids, and values to float
-// tolerance) and the exhaustive gather (values bit for bit) at every
+// tolerance) and the exhaustive ranking (values bit for bit) at every
 // (k, shards) combination.
 TEST(TopKPrune, NyfExactAgreementWithBruteForceRanking) {
   const TrajectorySet users = presets::NyfCheckins(1500);
@@ -137,13 +150,12 @@ TEST(TopKPrune, NyfExactAgreementWithBruteForceRanking) {
   for (const size_t k : {1u, 5u, 64u}) {
     const std::vector<RankedFacility> oracle =
         OracleRanking(users, routes, model, k);
+    const std::vector<RankedFacility> want =
+        ExhaustiveRanking(users, routes, Options(1, model), k);
     for (const size_t shards : {1u, 2u, 4u, 8u}) {
-      ShardedEngine pruned(users, routes, Options(shards, model, true));
-      ShardedEngine exhaustive(users, routes, Options(shards, model, false));
+      ShardedEngine pruned(users, routes, Options(shards, model));
       const QueryResponse got =
           pruned.Submit(QueryRequest::TopK(k)).get();
-      const QueryResponse want =
-          exhaustive.Submit(QueryRequest::TopK(k)).get();
       ASSERT_EQ(got.ranked.size(), oracle.size())
           << "k=" << k << " shards=" << shards;
       for (size_t i = 0; i < oracle.size(); ++i) {
@@ -151,10 +163,9 @@ TEST(TopKPrune, NyfExactAgreementWithBruteForceRanking) {
             << "k=" << k << " shards=" << shards << " rank=" << i;
         EXPECT_NEAR(got.ranked[i].value, oracle[i].value, 1e-9)
             << "k=" << k << " shards=" << shards << " rank=" << i;
-        // Bit-identical to the exhaustive scatter/gather: same per-shard
-        // sums in the same shard order.
-        EXPECT_EQ(got.ranked[i].id, want.ranked[i].id);
-        EXPECT_EQ(got.ranked[i].value, want.ranked[i].value);
+        // Bit-identical to the exhaustive ranking.
+        EXPECT_EQ(got.ranked[i].id, want[i].id);
+        EXPECT_EQ(got.ranked[i].value, want[i].value);
       }
     }
   }
@@ -179,7 +190,7 @@ TEST(TopKPrune, TieHeavyValuesKeepAscendingIdOrder) {
     const std::vector<RankedFacility> oracle =
         OracleRanking(users, facs, model, k);
     for (const size_t shards : {2u, 4u}) {
-      ShardedEngine pruned(users, facs, Options(shards, model, true));
+      ShardedEngine pruned(users, facs, Options(shards, model));
       const QueryResponse got =
           pruned.Submit(QueryRequest::TopK(k)).get();
       ASSERT_EQ(got.ranked.size(), oracle.size());
@@ -207,7 +218,7 @@ TEST(TopKPrune, EvaluatesStrictlyFewerFacilitiesThanExhaustive) {
   const ServiceModel model =
       ServiceModel::PointCount(200.0, Normalization::kNone);
   constexpr size_t kShards = 4;
-  ShardedEngine engine(users, routes, Options(kShards, model, true));
+  ShardedEngine engine(users, routes, Options(kShards, model));
   (void)engine.Submit(QueryRequest::TopK(10)).get();
 
   const MetricsView m = engine.metrics().Read();
@@ -227,13 +238,14 @@ TEST(TopKPrune, EvaluatesStrictlyFewerFacilitiesThanExhaustive) {
   EXPECT_GE(m.prune_rounds, 2u);
   EXPECT_LE(m.prune_rounds, 1u + m.facilities_evaluated);
 
-  // The exhaustive engine leaves the prune counters untouched.
-  ShardedEngine exhaustive(users, routes, Options(kShards, model, false));
-  (void)exhaustive.Submit(QueryRequest::TopK(10)).get();
-  const MetricsView me = exhaustive.metrics().Read();
-  EXPECT_EQ(me.facilities_evaluated, 0u);
-  EXPECT_EQ(me.facilities_pruned, 0u);
-  EXPECT_EQ(me.prune_rounds, 0u);
+  // A degenerate k = 0 request runs no protocol and leaves the prune
+  // counters untouched.
+  ShardedEngine idle(users, routes, Options(kShards, model));
+  (void)idle.Submit(QueryRequest::TopK(0)).get();
+  const MetricsView mi = idle.metrics().Read();
+  EXPECT_EQ(mi.facilities_evaluated, 0u);
+  EXPECT_EQ(mi.facilities_pruned, 0u);
+  EXPECT_EQ(mi.prune_rounds, 0u);
 }
 
 // A traced pruned top-8 emits a bounded span set — the sweep's queue wait
@@ -246,7 +258,7 @@ TEST(TopKPrune, TracedTopKFitsTheSpanBudget) {
   const ServiceModel model =
       ServiceModel::PointCount(200.0, Normalization::kNone);
   constexpr size_t kShards = 8;
-  ShardedEngine engine(users, routes, Options(kShards, model, true));
+  ShardedEngine engine(users, routes, Options(kShards, model));
   auto trace = std::make_shared<runtime::TraceContext>("topk", 8);
   std::promise<QueryResponse> promise;
   engine.SubmitAsync(QueryRequest::TopK(8), trace,
@@ -281,7 +293,7 @@ TEST(TopKPrune, CachedAnswerSurvivesAndInvalidatesAcrossWrites) {
   const ServiceModel model =
       ServiceModel::PointCount(200.0, Normalization::kNone);
   ShardedEngine engine(users, routes,
-                       Options(4, model, true, /*cache_capacity=*/2048));
+                       Options(4, model, /*cache_capacity=*/2048));
 
   const QueryResponse first = engine.Submit(QueryRequest::TopK(5)).get();
   EXPECT_FALSE(first.cache_hit);
@@ -325,7 +337,7 @@ TEST(TopKPrune, DegenerateRequestsStayExact) {
   const TrajectorySet facs = testing::RandomFacilities(&rng, 5, 6, w);
   const ServiceModel model =
       ServiceModel::PointCount(300.0, Normalization::kNone);
-  ShardedEngine engine(users, facs, Options(8, model, true));
+  ShardedEngine engine(users, facs, Options(8, model));
 
   // k = 0: empty answer, no crash.
   EXPECT_TRUE(engine.Submit(QueryRequest::TopK(0)).get().ranked.empty());
@@ -341,7 +353,7 @@ TEST(TopKPrune, DegenerateRequestsStayExact) {
 
   // More shards than users (some shards empty) with a tiny k.
   const TrajectorySet few = testing::RandomUsers(&rng, 3, 2, 4, w);
-  ShardedEngine sparse(few, facs, Options(8, model, true));
+  ShardedEngine sparse(few, facs, Options(8, model));
   const QueryResponse top =
       sparse.Submit(QueryRequest::TopK(2)).get();
   const std::vector<RankedFacility> sparse_oracle =
@@ -361,87 +373,52 @@ TEST(TopKPrune, SegmentedModeAgreesWithExhaustive) {
   const TrajectorySet routes = presets::NyBusRoutes(24, 8);
   const ServiceModel model =
       ServiceModel::PointCount(200.0, Normalization::kNone);
+  ShardedEngineOptions eo = Options(1, model);
+  eo.tree.mode = TrajMode::kSegmented;
+  const std::vector<RankedFacility> want =
+      ExhaustiveRanking(users, routes, eo, 6);
   for (const size_t shards : {1u, 4u}) {
-    ShardedEngineOptions po = Options(shards, model, true);
+    ShardedEngineOptions po = Options(shards, model);
     po.tree.mode = TrajMode::kSegmented;
-    ShardedEngineOptions eo = Options(shards, model, false);
-    eo.tree.mode = TrajMode::kSegmented;
     ShardedEngine pruned(users, routes, po);
-    ShardedEngine exhaustive(users, routes, eo);
     const QueryResponse got = pruned.Submit(QueryRequest::TopK(6)).get();
-    const QueryResponse want =
-        exhaustive.Submit(QueryRequest::TopK(6)).get();
-    ASSERT_EQ(got.ranked.size(), want.ranked.size());
-    for (size_t i = 0; i < want.ranked.size(); ++i) {
-      EXPECT_EQ(got.ranked[i].id, want.ranked[i].id)
+    ASSERT_EQ(got.ranked.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.ranked[i].id, want[i].id)
           << "shards=" << shards << " rank=" << i;
-      EXPECT_EQ(got.ranked[i].value, want.ranked[i].value);
+      EXPECT_EQ(got.ranked[i].value, want[i].value);
     }
   }
 }
 
-// ------------------------------------------------- adaptive large-k switch
+// ------------------------------------------------------------- large k
 
-// At k ≥ prune_skip_ratio·|F| the answer must contain at least half the
-// catalog, so the bound sweep is pure overhead — the engine must go
-// straight to the exhaustive gather (prune counters untouched) while small
-// k keeps the pruned protocol. Both answers match the oracle either way.
-TEST(TopKPrune, LargeKSkipsBoundSweepAdaptively) {
+// Large k has no protocol of its own: at k = |F|/2 and k = |F| the
+// coordinator runs (prune_rounds ≥ 1) and simply settles more facilities,
+// and the answer stays bit-identical to the brute-force ranking.
+TEST(TopKPrune, LargeKRunsTheCoordinatorAndMatchesBruteForce) {
   const TrajectorySet users = presets::NyfCheckins(900);
   const TrajectorySet routes = presets::NyBusRoutes(32, 8);
   const ServiceModel model =
       ServiceModel::PointCount(200.0, Normalization::kNone);
-  ShardedEngine engine(users, routes, Options(4, model, true));
-  ASSERT_EQ(engine.options().prune_skip_ratio, 0.5);  // the documented default
-
-  // k = 16 = 0.5 · 32: at the threshold, the sweep is skipped.
-  const QueryResponse large = engine.Submit(QueryRequest::TopK(16)).get();
-  MetricsView m = engine.metrics().Read();
-  EXPECT_EQ(m.prune_rounds, 0u) << "large k still ran the bound sweep";
-  EXPECT_EQ(m.facilities_evaluated, 0u);
-
-  // k = 2 is far below the threshold: the pruned protocol runs.
-  const QueryResponse small = engine.Submit(QueryRequest::TopK(2)).get();
-  m = engine.metrics().Read();
-  EXPECT_GE(m.prune_rounds, 1u) << "small k skipped the bound sweep";
-
-  // Both paths match the brute-force ranking.
-  const std::vector<RankedFacility> oracle16 =
-      OracleRanking(users, routes, model, 16);
-  ASSERT_EQ(large.ranked.size(), oracle16.size());
-  for (size_t i = 0; i < oracle16.size(); ++i) {
-    EXPECT_EQ(large.ranked[i].id, oracle16[i].id) << "rank " << i;
-    EXPECT_EQ(large.ranked[i].value, oracle16[i].value) << "rank " << i;
+  for (const size_t k : {routes.size() / 2, routes.size()}) {
+    const std::vector<RankedFacility> oracle =
+        OracleRanking(users, routes, model, k);
+    for (const size_t shards : {1u, 4u, 8u}) {
+      ShardedEngine engine(users, routes, Options(shards, model));
+      const QueryResponse got = engine.Submit(QueryRequest::TopK(k)).get();
+      EXPECT_GE(engine.metrics().Read().prune_rounds, 1u)
+          << "k=" << k << " shards=" << shards;
+      ASSERT_EQ(got.ranked.size(), oracle.size())
+          << "k=" << k << " shards=" << shards;
+      for (size_t i = 0; i < oracle.size(); ++i) {
+        EXPECT_EQ(got.ranked[i].id, oracle[i].id)
+            << "k=" << k << " shards=" << shards << " rank=" << i;
+        EXPECT_EQ(got.ranked[i].value, oracle[i].value)
+            << "k=" << k << " shards=" << shards << " rank=" << i;
+      }
+    }
   }
-  const std::vector<RankedFacility> oracle2 =
-      OracleRanking(users, routes, model, 2);
-  ASSERT_EQ(small.ranked.size(), oracle2.size());
-  for (size_t i = 0; i < oracle2.size(); ++i) {
-    EXPECT_EQ(small.ranked[i].id, oracle2[i].id) << "rank " << i;
-    EXPECT_EQ(small.ranked[i].value, oracle2[i].value) << "rank " << i;
-  }
-}
-
-// The ratio is a real knob: ≥ 1.0 never skips (k is clamped to |F|), and
-// 0.0 always skips — equivalent to prune_topk = false.
-TEST(TopKPrune, PruneSkipRatioIsConfigurable) {
-  const TrajectorySet users = presets::NyfCheckins(600);
-  const TrajectorySet routes = presets::NyBusRoutes(16, 8);
-  const ServiceModel model =
-      ServiceModel::PointCount(200.0, Normalization::kNone);
-
-  ShardedEngineOptions never_skip = Options(2, model, true);
-  never_skip.prune_skip_ratio = 1.1;
-  ShardedEngine pruned(users, routes, never_skip);
-  // k beyond the catalog clamps to |F| = 16 < 1.1 · 16: protocol runs.
-  (void)pruned.Submit(QueryRequest::TopK(100)).get();
-  EXPECT_GE(pruned.metrics().Read().prune_rounds, 1u);
-
-  ShardedEngineOptions always_skip = Options(2, model, true);
-  always_skip.prune_skip_ratio = 0.0;
-  ShardedEngine exhaustive(users, routes, always_skip);
-  (void)exhaustive.Submit(QueryRequest::TopK(1)).get();
-  EXPECT_EQ(exhaustive.metrics().Read().prune_rounds, 0u);
 }
 
 }  // namespace
