@@ -2,11 +2,11 @@
 // whose costs the index-level results decompose into.
 //
 // Besides the google-benchmark table, the binary ends with one
-// "# json: {"bench":"kernel_micro",...}" line measuring each vectorized
-// kernel against its in-binary scalar reference (same pairs the agreement
-// suite holds bit-identical). CI's kernel-regression gate parses that line:
-// it fails on a ≥20% per-kernel slowdown against the committed baseline, and
-// the AVX2 cell additionally asserts the ≥2× speedup acceptance bar.
+// "# json: {"bench":"kernel_micro",...}" line timing each service kernel
+// against an in-binary replica of the seed implementation, where one
+// exists. CI's kernel-regression gate parses that line: it fails when a
+// kernel's active_ns / seed_ns ratio grows ≥20% over the committed
+// baseline (bench/kernel_baseline.json).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -15,10 +15,9 @@
 #include <unordered_map>
 
 #include "common/rng.h"
-#include "geom/distance.h"
-#include "common/simd.h"
 #include "common/timer.h"
 #include "datagen/presets.h"
+#include "geom/distance.h"
 #include "quadtree/point_quadtree.h"
 #include "service/evaluator.h"
 #include "service/stop_grid.h"
@@ -76,11 +75,11 @@ void BM_CellTreeCoverRanges(benchmark::State& state) {
 }
 BENCHMARK(BM_CellTreeCoverRanges);
 
-// Bench-local replica of the PRE-vectorization StopGrid (the growth seed's
-// implementation, verbatim modulo naming): unordered_map cell buckets, one
-// hash find per 3×3 probe cell, scalar distance loop. This is the honest
-// "before" of the kernel table — the per-kernel speedups CI asserts are
-// measured against it, in the same binary on the same workload.
+// Bench-local replica of the growth seed's StopGrid (verbatim modulo
+// naming): unordered_map cell buckets, one hash find per 3×3 probe cell,
+// scalar distance loop. This is the fixed "before" of the kernel table — the
+// ratios CI gates are measured against it, in the same binary on the same
+// workload, so they do not depend on runner speed.
 class SeedStopGrid {
  public:
   SeedStopGrid(std::span<const Point> stops, double psi)
@@ -124,11 +123,11 @@ class SeedStopGrid {
   std::unordered_map<int64_t, std::vector<uint32_t>> cells_;
 };
 
-// Shared probe workload for the StopGrid kernel pair: points concentrated in
-// the route's serving corridor (uniform over the EMBR) — the regime the
-// kernels exist for. Candidates that reach the exact check have already
-// passed index pruning, so they cluster near the facility; far-away points
-// die in the 4-wide rect prefilter and cost almost nothing either way.
+// Shared probe workload for the StopGrid kernel: points concentrated in the
+// route's serving corridor (uniform over the EMBR) — the regime the kernel
+// exists for. Candidates that reach the exact check have already passed
+// index pruning, so they cluster near the facility; far-away points die in
+// the EMBR test and cost almost nothing either way.
 struct ServesWorkload {
   TrajectorySet routes = presets::NyBusRoutes(1, 64);
   StopGrid grid{routes.points(0), 200.0};
@@ -145,29 +144,17 @@ struct ServesWorkload {
   }
 };
 
-void BM_StopGridServesScalar(benchmark::State& state) {
+void BM_StopGridServes(benchmark::State& state) {
   const ServesWorkload w;
   for (auto _ : state) {
     size_t served = 0;
-    for (const Point& p : w.probes) served += w.grid.ServesScalar(p);
+    for (const Point& p : w.probes) served += w.grid.Serves(p);
     benchmark::DoNotOptimize(served);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(w.probes.size()));
 }
-BENCHMARK(BM_StopGridServesScalar);
-
-void BM_StopGridServesBatch(benchmark::State& state) {
-  const ServesWorkload w;
-  std::vector<uint64_t> mask((w.probes.size() + 63) / 64);
-  for (auto _ : state) {
-    w.grid.ServesBatch(w.probes, mask.data());
-    benchmark::DoNotOptimize(mask.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(w.probes.size()));
-}
-BENCHMARK(BM_StopGridServesBatch);
+BENCHMARK(BM_StopGridServes);
 
 // Exact service evaluation per scenario, NYF users vs one route grid — the
 // inner loop of every query algorithm. Scenario 1 = endpoint probes,
@@ -204,8 +191,8 @@ BENCHMARK(BM_EvaluateScenario1);
 BENCHMARK(BM_EvaluateScenario2);
 BENCHMARK(BM_EvaluateScenario3);
 
-// The cache-resident bound sweep: TQTree::UpperBound over a frozen NYF tree
-// (SoA arena + wide reachability kernels) for a rotation of facility grids.
+// The bound sweep: TQTree::UpperBound over a frozen NYF tree (node pages +
+// per-bucket reach tests) for a rotation of facility grids.
 void BM_ZIndexBucketScan(benchmark::State& state) {
   const TrajectorySet users = presets::NyfCheckins(20000);
   const TrajectorySet routes = presets::NyBusRoutes(16, 32);
@@ -279,8 +266,8 @@ void BM_ZIndexRebuild(benchmark::State& state) {
 BENCHMARK(BM_ZIndexRebuild)->Arg(1000)->Arg(10000);
 
 // ------------------------------------------------------------------------
-// kernel_micro series: fixed-workload wall-clock timing of each vectorized
-// kernel against its scalar reference, emitted as one machine-readable line.
+// kernel_micro series: fixed-workload wall-clock timing of each service
+// kernel against its seed replica, emitted as one machine-readable line.
 // Deliberately independent of google-benchmark's reporter so the CI gate
 // parses a stable format (same "# json:" convention as the other binaries).
 
@@ -306,13 +293,12 @@ double TimeNsPerUnit(size_t units_per_call, Fn&& fn) {
 
 struct KernelRow {
   const char* kernel;
-  double seed_ns;    // pre-vectorization implementation (bench-local replica);
+  double seed_ns;    // growth seed's implementation (bench-local replica);
                      // 0 when no faithful seed replica exists for the kernel
-  double scalar_ns;  // retained scalar reference on the NEW data layout
-  double vector_ns;  // active (vectorized or forced-scalar) path
+  double active_ns;  // the library's implementation
 };
 
-// Seed-replica evaluation loop: the pre-PR ServiceEvaluator bodies called
+// Seed-replica evaluation loop: the seed's ServiceEvaluator bodies called
 // grid.Serves(p) per point on the unordered_map grid.
 double SeedEvaluate(const SeedStopGrid& grid, const TrajectorySet& users,
                     uint32_t user, const ServiceModel& model) {
@@ -348,25 +334,20 @@ double SeedEvaluate(const SeedStopGrid& grid, const TrajectorySet& users,
 void EmitKernelMicroJson() {
   std::vector<KernelRow> rows;
 
-  {  // StopGrid point-serve: seed map-probe vs scalar-reference vs batch.
+  {  // StopGrid point-serve: seed map-probe vs the dilated grid.
     const ServesWorkload w;
-    std::vector<uint64_t> mask((w.probes.size() + 63) / 64);
     volatile size_t sink = 0;
     const double seed_ns = TimeNsPerUnit(w.probes.size(), [&] {
       size_t served = 0;
       for (const Point& p : w.probes) served += w.seed_grid.Serves(p);
       sink = served;
     });
-    const double scalar_ns = TimeNsPerUnit(w.probes.size(), [&] {
+    const double active_ns = TimeNsPerUnit(w.probes.size(), [&] {
       size_t served = 0;
-      for (const Point& p : w.probes) served += w.grid.ServesScalar(p);
+      for (const Point& p : w.probes) served += w.grid.Serves(p);
       sink = served;
     });
-    const double vector_ns = TimeNsPerUnit(w.probes.size(), [&] {
-      w.grid.ServesBatch(w.probes, mask.data());
-      sink = mask[0];
-    });
-    rows.push_back({"stopgrid_serves", seed_ns, scalar_ns, vector_ns});
+    rows.push_back({"stopgrid_serves", seed_ns, active_ns});
   }
 
   {  // Exact evaluation, all three scenarios over the same NYF users.
@@ -388,25 +369,18 @@ void EmitKernelMicroJson() {
         }
         sink = total;
       });
-      const double scalar_ns = TimeNsPerUnit(users.size(), [&] {
-        double total = 0.0;
-        for (uint32_t u = 0; u < users.size(); ++u) {
-          total += eval.EvaluateScalar(u, grid);
-        }
-        sink = total;
-      });
-      const double vector_ns = TimeNsPerUnit(users.size(), [&] {
+      const double active_ns = TimeNsPerUnit(users.size(), [&] {
         double total = 0.0;
         for (uint32_t u = 0; u < users.size(); ++u) {
           total += eval.Evaluate(u, grid);
         }
         sink = total;
       });
-      rows.push_back({names[s], seed_ns, scalar_ns, vector_ns});
+      rows.push_back({names[s], seed_ns, active_ns});
     }
   }
 
-  {  // Bound sweep: pages + scalar kernels vs SoA arena + wide kernels.
+  {  // Bound sweep over a frozen tree; no seed replica (print-only).
     const TrajectorySet users = presets::NyfCheckins(20000);
     const TrajectorySet routes = presets::NyBusRoutes(16, 32);
     TQTreeOptions opt;
@@ -419,45 +393,31 @@ void EmitKernelMicroJson() {
       grids.emplace_back(routes.points(f), opt.model.psi);
     }
     volatile double sink = 0.0;
-    const double scalar_ns = TimeNsPerUnit(grids.size(), [&] {
-      double total = 0.0;
-      for (const StopGrid& g : grids) total += tree.UpperBoundScalarReference(g);
-      sink = total;
-    });
-    const double vector_ns = TimeNsPerUnit(grids.size(), [&] {
+    const double active_ns = TimeNsPerUnit(grids.size(), [&] {
       double total = 0.0;
       for (const StopGrid& g : grids) total += tree.UpperBound(g);
       sink = total;
     });
-    rows.push_back({"zindex_bucket_scan", 0.0, scalar_ns, vector_ns});
+    rows.push_back({"zindex_bucket_scan", 0.0, active_ns});
   }
 
-#if defined(TQ_SIMD_FORCE_SCALAR)
-  const char* simd_path = "scalar";
-#else
-  const char* simd_path = "vector";
-#endif
-  std::printf("\nkernel_micro (ns/unit, best of 3; active path: %s)\n",
-              simd_path);
-  std::printf("  %-20s %10s %10s %10s %9s %9s\n", "kernel", "seed", "scalar",
-              "active", "vs_seed", "vs_scalar");
+  const auto vs_seed = [](const KernelRow& r) {
+    return r.seed_ns > 0 && r.active_ns > 0 ? r.seed_ns / r.active_ns : 0.0;
+  };
+  std::printf("\nkernel_micro (ns/unit, best of 3)\n");
+  std::printf("  %-20s %10s %10s %9s\n", "kernel", "seed", "active",
+              "vs_seed");
   for (const KernelRow& r : rows) {
-    std::printf("  %-20s %10.2f %10.2f %10.2f %8.2fx %8.2fx\n", r.kernel,
-                r.seed_ns, r.scalar_ns, r.vector_ns,
-                r.vector_ns > 0 ? r.seed_ns / r.vector_ns : 0.0,
-                r.vector_ns > 0 ? r.scalar_ns / r.vector_ns : 0.0);
+    std::printf("  %-20s %10.2f %10.2f %8.2fx\n", r.kernel, r.seed_ns,
+                r.active_ns, vs_seed(r));
   }
-  std::printf("# json: {\"bench\":\"kernel_micro\",\"simd\":\"%s\","
-              "\"kernels\":[",
-              simd_path);
+  std::printf("# json: {\"bench\":\"kernel_micro\",\"kernels\":[");
   for (size_t i = 0; i < rows.size(); ++i) {
     const KernelRow& r = rows[i];
-    std::printf("%s{\"kernel\":\"%s\",\"seed_ns\":%.3f,\"scalar_ns\":%.3f,"
-                "\"vector_ns\":%.3f,\"speedup_vs_seed\":%.3f,"
-                "\"speedup_vs_scalar\":%.3f}",
-                i == 0 ? "" : ",", r.kernel, r.seed_ns, r.scalar_ns,
-                r.vector_ns, r.vector_ns > 0 ? r.seed_ns / r.vector_ns : 0.0,
-                r.vector_ns > 0 ? r.scalar_ns / r.vector_ns : 0.0);
+    std::printf("%s{\"kernel\":\"%s\",\"seed_ns\":%.3f,\"active_ns\":%.3f,"
+                "\"speedup_vs_seed\":%.3f}",
+                i == 0 ? "" : ",", r.kernel, r.seed_ns, r.active_ns,
+                vs_seed(r));
   }
   std::printf("]}\n");
 }

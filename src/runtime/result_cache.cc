@@ -74,11 +74,6 @@ size_t ResultCache::PutTopK(const TopKKey& key,
   return 1;
 }
 
-size_t ResultCache::InvalidateShardBefore(uint32_t shard,
-                                          uint64_t generation) {
-  return InvalidateShardsBefore({shard}, generation);
-}
-
 size_t ResultCache::InvalidateShardsBefore(
     const std::vector<uint32_t>& shards, uint64_t generation) {
   if (shards.empty()) return 0;
@@ -86,7 +81,7 @@ size_t ResultCache::InvalidateShardsBefore(
   for (const auto& s : shards_) {
     std::lock_guard<std::mutex> lock(s->mu);
     for (auto it = s->lru.begin(); it != s->lru.end();) {
-      if (it->key.snapshot_version < generation &&
+      if (it->key.generation < generation &&
           std::find(shards.begin(), shards.end(), it->key.shard) !=
               shards.end()) {
         s->index.erase(it->key);
@@ -99,14 +94,24 @@ size_t ResultCache::InvalidateShardsBefore(
   }
   // Per-shard top-k invalidation: a gathered answer dies exactly when one
   // of the republished shards contributed an older generation to its key.
-  dropped += EraseStaleTopK([&shards, generation](const TopKKey& key) {
+  const auto stale = [&shards, generation](const TopKKey& key) {
     for (const uint32_t shard : shards) {
       if (shard < key.gens.size() && key.gens[shard] < generation) {
         return true;
       }
     }
     return false;
-  });
+  };
+  std::lock_guard<std::mutex> lock(topk_mu_);
+  for (auto it = topk_lru_.begin(); it != topk_lru_.end();) {
+    if (stale(it->key)) {
+      topk_index_.erase(it->key);
+      it = topk_lru_.erase(it);
+      ++dropped;
+    } else {
+      ++it;
+    }
+  }
   return dropped;
 }
 

@@ -6,7 +6,7 @@
 // and a shard's user set is identified by its publish generation — so a hit
 // is exact, never approximate. The engine (sharded_engine.h) caches one
 // entry per (facility, user shard), so republishing a single shard
-// invalidates only that shard's entries (InvalidateShardBefore) and the
+// invalidates only that shard's entries (InvalidateShardsBefore) and the
 // other shards keep hitting. Entries of superseded generations become
 // unreachable the moment the shard republishes; invalidation reclaims their
 // memory eagerly on publish, LRU eviction reclaims the rest lazily.
@@ -47,8 +47,8 @@ inline uint64_t PsiBits(double psi) {
   return bits;
 }
 
-/// Thread-safe sharded LRU map from (facility, ψ, snapshot version) to a
-/// cached service value. A zero capacity disables the cache (every Get
+/// Thread-safe sharded LRU map from (facility, ψ, shard generation, shard)
+/// to a cached service value. A zero capacity disables the cache (every Get
 /// misses, Put is a no-op) — used by benches measuring raw compute scaling.
 class ResultCache {
  public:
@@ -56,13 +56,13 @@ class ResultCache {
     FacilityId facility = 0;
     uint64_t psi_bits = 0;  // bit pattern of ψ (doubles as exact equality)
     /// The owning shard's publish generation.
-    uint64_t snapshot_version = 0;
+    uint64_t generation = 0;
     /// Data shard the value was computed on.
     uint32_t shard = 0;
 
     bool operator==(const Key& o) const {
       return facility == o.facility && psi_bits == o.psi_bits &&
-             snapshot_version == o.snapshot_version && shard == o.shard;
+             generation == o.generation && shard == o.shard;
     }
   };
 
@@ -94,15 +94,12 @@ class ResultCache {
   /// make room (0 or 1).
   size_t Put(const Key& key, double value);
 
-  /// Drops every entry of data shard `shard` whose generation is older than
-  /// `generation`, leaving other shards' entries untouched (single-shard
-  /// publish invalidation). Returns the number dropped.
-  size_t InvalidateShardBefore(uint32_t shard, uint64_t generation);
-
-  /// Same, for all of `shards` in one pass over the cache — a write batch
-  /// republishing several data shards at one generation invalidates them
-  /// with a single scan instead of one per shard. Both passes also drop
-  /// top-k entries whose generation vector is stale for an affected shard.
+  /// Drops every entry of the data shards in `shards` whose generation is
+  /// older than `generation`, leaving other shards' entries untouched, in
+  /// one pass over the cache — a write batch republishing several data
+  /// shards at one generation invalidates them with a single scan. Also
+  /// drops top-k entries whose generation vector is stale for an affected
+  /// shard. Returns the number dropped.
   size_t InvalidateShardsBefore(const std::vector<uint32_t>& shards,
                                 uint64_t generation);
 
@@ -135,7 +132,7 @@ class ResultCache {
     size_t operator()(const Key& k) const {
       // 64-bit mix of the four components.
       const uint64_t h =
-          k.psi_bits ^ (k.snapshot_version * 0x9e3779b97f4a7c15ull) ^
+          k.psi_bits ^ (k.generation * 0x9e3779b97f4a7c15ull) ^
           (static_cast<uint64_t>(k.facility) << 32) ^
           (static_cast<uint64_t>(k.shard) * 0xd1342543de82ef95ull);
       return static_cast<size_t>(Mix64(h));
@@ -164,24 +161,6 @@ class ResultCache {
       return static_cast<size_t>(Mix64(h));
     }
   };
-
-  /// Drops every top-k entry whose key `pred` deems stale; returns the
-  /// number dropped. Shared by both invalidation passes.
-  template <typename Pred>
-  size_t EraseStaleTopK(Pred&& pred) {
-    size_t dropped = 0;
-    std::lock_guard<std::mutex> lock(topk_mu_);
-    for (auto it = topk_lru_.begin(); it != topk_lru_.end();) {
-      if (pred(it->key)) {
-        topk_index_.erase(it->key);
-        it = topk_lru_.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-    return dropped;
-  }
 
   size_t per_shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

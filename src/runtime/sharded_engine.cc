@@ -628,9 +628,8 @@ double ShardedEngine::ShardServiceValue(const ShardState& shard,
   }
   *cache_hit = false;
   // Pool threads land here concurrently on the same frozen shard tree; the
-  // kernel layer underneath (StopGrid neighborhood lists, the tree's bound
-  // arena, the evaluator's served-mask batch path) is immutable after
-  // freeze, and each thread's segmented-evaluation scratch lives in a
+  // service kernels underneath (StopGrid neighborhood lists, the tree's node
+  // pages and z-indexes, the evaluator) are immutable after freeze, and each thread's segmented-evaluation scratch lives in a
   // thread_local ServiceAccumulator arena inside EvaluateServiceTQ — so a
   // cache miss costs zero allocation on the steady state and no locks.
   value = EvaluateServiceTQ(shard.tree.get(), *shard.eval, catalog.grid(f),

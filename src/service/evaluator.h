@@ -4,12 +4,10 @@
 // the exact check on"; the check itself lives here so all methods provably
 // agree (a backbone invariant of the test suite).
 //
-// The hot entry points run on StopGrid::ServesBatch masks: the grid's 4-wide
-// kernels decide the per-point serve *predicate*, while every floating-point
-// accumulation (length sums, normalizations) stays scalar in the original
-// ascending order — so answers are bit-identical to the retained scalar
-// references (`EvaluateScalar`/`EvaluateDetailScalar`), which the agreement
-// suite (tests/test_simd_kernels.cc) checks in-binary.
+// Each entry point probes the trajectory's points one at a time through
+// StopGrid::Serves and accumulates every floating-point sum (length sums,
+// normalizations) in ascending point order, so one user's value is the same
+// double whichever query method asked for it.
 #ifndef TQCOVER_SERVICE_EVALUATOR_H_
 #define TQCOVER_SERVICE_EVALUATOR_H_
 
@@ -39,18 +37,11 @@ class ServiceEvaluator {
   /// S(u, f) per §II-A, where f is represented by its StopGrid.
   double Evaluate(uint32_t user, const StopGrid& grid) const;
 
-  /// Scalar reference for Evaluate: the original per-point loop over
-  /// StopGrid::ServesScalar. Retained in every build for the agreement suite.
-  double EvaluateScalar(uint32_t user, const StopGrid& grid) const;
-
   /// Scenario-1 fast path: are both endpoints of `user` within ψ of a stop?
   bool EndpointsServed(uint32_t user, const StopGrid& grid) const;
 
   /// Served-point/segment mask of `user` under `grid` (for coverage algebra).
   ServeDetail EvaluateDetail(uint32_t user, const StopGrid& grid) const;
-
-  /// Scalar reference for EvaluateDetail (per-point ServesScalar probes).
-  ServeDetail EvaluateDetailScalar(uint32_t user, const StopGrid& grid) const;
 
   /// Service value of `user` given a (possibly multi-facility) union mask —
   /// the AGG aggregation of §II-B. The mask must have the layout produced by

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/simd.h"
 
 namespace tq {
 namespace {
@@ -17,6 +16,15 @@ inline uint64_t MixKey(int64_t key) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+// Serve predicate in squared form; expression shape matches Point
+// DistanceSquared (dx*dx + dy*dy), so the grid and a linear scan agree.
+inline bool WithinPsi2(double sx, double sy, double px, double py,
+                       double psi2) {
+  const double dx = px - sx;
+  const double dy = py - sy;
+  return dx * dx + dy * dy <= psi2;
 }
 
 inline uint64_t NextPow2(uint64_t v) {
@@ -40,8 +48,8 @@ StopGrid::StopGrid(std::span<const Point> stops, double psi)
   // Dilated occupancy: stop i contributes itself to the neighborhood list of
   // each of the 9 cells around its own, so a probe later needs only its own
   // cell's list. Two passes: insert keys + count list sizes, then assign
-  // padded ranges and scatter (counting-sort style, stable — stops appear in
-  // each list in stop order).
+  // ranges and scatter (counting-sort style, stable — stops appear in each
+  // list in stop order).
   const uint32_t num_stops = static_cast<uint32_t>(stops_.size());
   std::vector<int64_t> keys(num_stops * 9);
   for (uint32_t i = 0; i < num_stops; ++i) {
@@ -70,20 +78,18 @@ StopGrid::StopGrid(std::span<const Point> stops, double psi)
     ++table_[slot].n;
   }
 
-  // Assign padded [begin, begin+padded) ranges per cell.
+  // Assign [begin, begin+n) ranges per cell.
   uint32_t offset = 0;
   for (Cell& c : table_) {
     if (c.n == 0) continue;
     c.begin = offset;
-    c.padded = (c.n + 3u) & ~3u;
-    offset += c.padded;
+    offset += c.n;
   }
   bucket_x_.assign(offset, 0.0);
   bucket_y_.assign(offset, 0.0);
   bucket_idx_.assign(offset, 0);
 
-  // Second pass scatters stops into their neighborhood runs, then pads each
-  // run to a multiple of 4 lanes with copies of the run's first stop.
+  // Second pass scatters stops into their neighborhood runs.
   std::vector<uint32_t> fill(table_.size(), 0);
   for (uint32_t i = 0; i < num_stops; ++i) {
     for (int j = 0; j < 9; ++j) {
@@ -96,13 +102,6 @@ StopGrid::StopGrid(std::span<const Point> stops, double psi)
       bucket_x_[at] = stops_[i].x;
       bucket_y_[at] = stops_[i].y;
       bucket_idx_[at] = i;
-    }
-  }
-  for (const Cell& c : table_) {
-    for (uint32_t j = c.n; j < c.padded; ++j) {
-      bucket_x_[c.begin + j] = bucket_x_[c.begin];
-      bucket_y_[c.begin + j] = bucket_y_[c.begin];
-      bucket_idx_[c.begin + j] = bucket_idx_[c.begin];
     }
   }
 }
@@ -124,66 +123,16 @@ const StopGrid::Cell* StopGrid::FindCell(int64_t key) const {
   }
 }
 
-bool StopGrid::ProbeCell(const Point& p) const {
+bool StopGrid::Serves(const Point& p) const {
+  if (!embr_.Contains(p)) return false;
   const Cell* c = FindCell(CellKey(p.x, p.y));
   if (c == nullptr) return false;
   const double* xs = bucket_x_.data() + c->begin;
   const double* ys = bucket_y_.data() + c->begin;
-  for (uint32_t k = 0; k < c->padded; k += 4) {
-    // Padding lanes repeat a real neighborhood stop, so any lane hit is a
-    // genuine within-ψ stop.
-    if (simd::LanesWithinPsi2(xs + k, ys + k, p.x, p.y, psi2_) != 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool StopGrid::Serves(const Point& p) const {
-  if (!embr_.Contains(p)) return false;
-  return ProbeCell(p);
-}
-
-bool StopGrid::ServesScalar(const Point& p) const {
-  if (!embr_.Contains(p)) return false;
-  const Cell* c = FindCell(CellKey(p.x, p.y));
-  if (c == nullptr) return false;
   for (uint32_t k = 0; k < c->n; ++k) {
-    if (simd::scalar::WithinPsi2(bucket_x_[c->begin + k],
-                                 bucket_y_[c->begin + k], p.x, p.y, psi2_)) {
-      return true;
-    }
+    if (WithinPsi2(xs[k], ys[k], p.x, p.y, psi2_)) return true;
   }
   return false;
-}
-
-void StopGrid::ServesBatch(std::span<const Point> pts,
-                           uint64_t* out_mask) const {
-  const size_t n = pts.size();
-  const size_t words = (n + 63) / 64;
-  std::fill(out_mask, out_mask + words, 0);
-  static_assert(sizeof(Point) == 2 * sizeof(double),
-                "batch kernels assume Point is two packed doubles");
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // 4-wide EMBR prefilter: most points of a far-away trajectory die here
-    // without any cell probe.
-    uint32_t in = simd::LanesInRect(&pts[i].x, embr_.min_x, embr_.min_y,
-                                    embr_.max_x, embr_.max_y);
-    while (in != 0) {
-      const unsigned lane = static_cast<unsigned>(__builtin_ctz(in));
-      in &= in - 1;
-      const size_t pi = i + lane;
-      if (ProbeCell(pts[pi])) {
-        out_mask[pi >> 6] |= uint64_t{1} << (pi & 63);
-      }
-    }
-  }
-  for (; i < n; ++i) {
-    if (Serves(pts[i])) {
-      out_mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
 }
 
 double StopGrid::NearbyStopDistance(const Point& p) const {

@@ -18,12 +18,8 @@
 // 21% of SO evaluation in hashtable find alone). Each stop appears in at
 // most 9 neighborhood lists, so memory stays O(9 · stops).
 //
-// Neighborhood runs live in SoA coordinate arrays padded to a multiple of 4
-// lanes by duplicating the first stop, so the ψ² check scans whole cells
-// with the 4-wide kernels in common/simd.h without a tail loop — duplicated
-// stops cannot change an any-within-ψ or min-distance answer. `ServesScalar`
-// retains the per-stop scalar reference over the unpadded ranges; the
-// agreement suite holds `Serves`/`ServesBatch` bit-equal to it.
+// Neighborhood runs live in SoA coordinate arrays, so a probe's ψ² check is
+// one scalar loop over its cell's run with an early exit on the first hit.
 #ifndef TQCOVER_SERVICE_STOP_GRID_H_
 #define TQCOVER_SERVICE_STOP_GRID_H_
 
@@ -53,15 +49,6 @@ class StopGrid {
   /// True iff `p` is within ψ of at least one stop.
   bool Serves(const Point& p) const;
 
-  /// Scalar reference for `Serves`: same cells, per-stop scalar predicate.
-  /// Retained in every build so the agreement suite can compare in-binary.
-  bool ServesScalar(const Point& p) const;
-
-  /// Writes bit i of `out_mask` (64 points per word, little-endian bit
-  /// order) = Serves(pts[i]) for the whole span. `out_mask` must hold
-  /// ceil(pts.size() / 64) words; bits at and beyond pts.size() are zeroed.
-  void ServesBatch(std::span<const Point> pts, uint64_t* out_mask) const;
-
   /// Distance from `p` to the nearest stop within the 3×3 probe window;
   /// +inf when no stop is that close. Used by diagnostics and tests.
   double NearbyStopDistance(const Point& p) const;
@@ -71,15 +58,12 @@ class StopGrid {
   // slot; every real entry lists at least one neighborhood stop.
   struct Cell {
     int64_t key = 0;
-    uint32_t begin = 0;   // offset into bucket_x_/bucket_y_ (padded layout)
-    uint32_t n = 0;       // real stop count (unpadded)
-    uint32_t padded = 0;  // n rounded up to a multiple of 4
+    uint32_t begin = 0;  // offset into bucket_x_/bucket_y_
+    uint32_t n = 0;      // neighborhood stop count
   };
 
   int64_t CellKey(double x, double y) const;
   const Cell* FindCell(int64_t key) const;
-  // Neighborhood scan of p's cell; true iff any stop is within ψ².
-  bool ProbeCell(const Point& p) const;
 
   std::vector<Point> stops_;
   double psi_;
@@ -89,8 +73,8 @@ class StopGrid {
   Rect embr_;
   std::vector<Cell> table_;  // power-of-two open-addressed cell table
   uint64_t table_mask_ = 0;
-  // SoA stop coordinates grouped by dilated cell, each run padded to 4 lanes
-  // by repeating its first stop. bucket_idx_ maps padded slots to stop ids.
+  // SoA stop coordinates grouped by dilated cell. bucket_idx_ maps slots to
+  // stop ids.
   std::vector<double> bucket_x_;
   std::vector<double> bucket_y_;
   std::vector<uint32_t> bucket_idx_;

@@ -90,7 +90,6 @@ void TQTree::CopyPage(size_t page_index) {
 }
 
 int32_t TQTree::AppendNode() {
-  bound_arena_.valid = false;  // new node id the arena doesn't cover
   const size_t slot = num_nodes_ & kNodePageMask;
   if (slot == 0) {
     // Fresh page: owned by construction, no copy.
@@ -329,73 +328,26 @@ int32_t TQTree::ContainingNode(const Rect& r) const {
   }
 }
 
-template <bool kUseArena, bool kScalar>
-double TQTree::UpperBoundImpl(const StopGrid& grid, int max_levels,
-                              size_t* nodes_visited) const {
+double TQTree::UpperBound(const StopGrid& grid, int max_levels,
+                          size_t* nodes_visited) const {
   const Rect& embr = grid.embr();
   const int32_t q0 = ContainingNode(embr);
   const ZIndex::Corridor corridor{grid.stops(), grid.psi(), embr};
   double bound = 0.0;
   size_t visited = 0;
 
-  const auto reaches = [&corridor](const Rect& r) {
-    if constexpr (kScalar) {
-      return corridor.ReachesScalar(r);
-    } else {
-      return corridor.Reaches(r);
-    }
-  };
-  const auto sub_of = [this](int32_t i) -> double {
-    if constexpr (kUseArena) {
-      return bound_arena_.sub[static_cast<size_t>(i)];
-    } else {
-      return node(i).sub;
-    }
-  };
-  const auto rect_of = [this](int32_t i) -> const Rect& {
-    if constexpr (kUseArena) {
-      return bound_arena_.rect[static_cast<size_t>(i)];
-    } else {
-      return node(i).rect;
-    }
-  };
-  const auto first_child_of = [this](int32_t i) -> int32_t {
-    if constexpr (kUseArena) {
-      return bound_arena_.first_child[static_cast<size_t>(i)];
-    } else {
-      return node(i).first_child;
-    }
-  };
   // A node's own list, bounded at z-node granularity when the node has a
   // built z-index: Σ bucket ub over buckets the corridor can geometrically
   // reach (ZIndex::UpperBound). This is what gives the bound discriminating
   // power on real data — long-span units pool in the upper nodes' lists,
   // where `local_ub` alone would charge every facility the full pool.
   const auto local_bound = [this, &corridor](int32_t i) -> double {
-    if constexpr (kUseArena) {
-      const auto si = static_cast<size_t>(i);
-      const ZIndex* zi = bound_arena_.zindex[si];
-      if (zi != nullptr) {
-        if constexpr (kScalar) {
-          return zi->UpperBoundScalarReference(corridor,
-                                               bound_arena_.entries[si]);
-        } else {
-          return zi->UpperBound(corridor, bound_arena_.entries[si]);
-        }
-      }
-      return bound_arena_.local_ub[si];
-    } else {
-      const TQNode& n = node(i);
-      if (n.entries.empty()) return 0.0;
-      if (n.zindex != nullptr && !n.zindex_dirty) {
-        if constexpr (kScalar) {
-          return n.zindex->UpperBoundScalarReference(corridor, n.entries);
-        } else {
-          return n.zindex->UpperBound(corridor, n.entries);
-        }
-      }
-      return n.local_ub;
+    const TQNode& n = node(i);
+    if (n.entries.empty()) return 0.0;
+    if (n.zindex != nullptr && !n.zindex_dirty) {
+      return n.zindex->UpperBound(corridor, n.entries);
     }
+    return n.local_ub;
   };
 
   // Proper ancestors of q0 can store units whose MBR spills outside their
@@ -419,27 +371,27 @@ double TQTree::UpperBoundImpl(const StopGrid& grid, int max_levels,
     const Frame frame = stack.back();
     stack.pop_back();
     ++visited;
-    if (sub_of(frame.idx) <= 0.0) continue;  // nothing stored below
+    const TQNode& n = node(frame.idx);
+    if (n.sub <= 0.0) continue;  // nothing stored below
     // A unit can score only if one of its points is within ψ of a stop,
     // and every point of every unit in n's subtree lies inside n.rect.
-    if (!reaches(rect_of(frame.idx))) continue;
+    if (!corridor.Reaches(n.rect)) continue;
     bound += local_bound(frame.idx);
-    const int32_t first_child = first_child_of(frame.idx);
-    if (first_child < 0) continue;  // leaf
+    if (n.IsLeaf()) continue;
     if (frame.level >= max_levels) {
       // Descent budget exhausted: close the subtree with the children's
       // aggregate bounds (skipping unreachable quadrants) instead of
       // n.sub, so the local part above still benefits from the z-node
       // refinement.
       for (int q = 0; q < 4; ++q) {
-        const int32_t c = first_child + q;
+        const TQNode& c = node(n.first_child + q);
         ++visited;
-        if (sub_of(c) > 0.0 && reaches(rect_of(c))) bound += sub_of(c);
+        if (c.sub > 0.0 && corridor.Reaches(c.rect)) bound += c.sub;
       }
       continue;
     }
     for (int q = 0; q < 4; ++q) {
-      stack.push_back(Frame{first_child + q, frame.level + 1});
+      stack.push_back(Frame{n.first_child + q, frame.level + 1});
     }
   }
   // The point-mass raster bounds the same quantity from the opposite side
@@ -452,19 +404,6 @@ double TQTree::UpperBoundImpl(const StopGrid& grid, int max_levels,
   }
   if (nodes_visited != nullptr) *nodes_visited += visited;
   return bound;
-}
-
-double TQTree::UpperBound(const StopGrid& grid, int max_levels,
-                          size_t* nodes_visited) const {
-  if (bound_arena_.valid) {
-    return UpperBoundImpl<true, false>(grid, max_levels, nodes_visited);
-  }
-  return UpperBoundImpl<false, false>(grid, max_levels, nodes_visited);
-}
-
-double TQTree::UpperBoundScalarReference(const StopGrid& grid, int max_levels,
-                                         size_t* nodes_visited) const {
-  return UpperBoundImpl<false, true>(grid, max_levels, nodes_visited);
 }
 
 std::vector<int32_t> TQTree::PathTo(int32_t idx) const {
@@ -506,33 +445,6 @@ void TQTree::BuildAllZIndexes() {
   if (raster_ == nullptr && options_.bound_raster_resolution > 0) {
     BuildRaster();
   }
-  // Last: the z-index rebuilds above go through MutableNode, which clears
-  // the arena flag.
-  BuildBoundArena();
-}
-
-void TQTree::BuildBoundArena() {
-  BoundArena a;
-  a.sub.resize(num_nodes_);
-  a.rect.resize(num_nodes_);
-  a.first_child.resize(num_nodes_);
-  a.local_ub.resize(num_nodes_);
-  a.zindex.resize(num_nodes_);
-  a.entries.resize(num_nodes_);
-  for (size_t i = 0; i < num_nodes_; ++i) {
-    const TQNode& n = node(static_cast<int32_t>(i));
-    a.sub[i] = n.sub;
-    a.rect[i] = n.rect;
-    a.first_child[i] = n.first_child;
-    a.local_ub[i] = n.entries.empty() ? 0.0 : n.local_ub;
-    a.zindex[i] = (!n.entries.empty() && n.zindex != nullptr &&
-                   !n.zindex_dirty)
-                      ? n.zindex.get()
-                      : nullptr;
-    a.entries[i] = std::span<const TrajEntry>(n.entries);
-  }
-  a.valid = true;
-  bound_arena_ = std::move(a);
 }
 
 void TQTree::BuildRaster() {

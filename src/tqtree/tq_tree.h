@@ -185,13 +185,6 @@ class TQTree {
   double UpperBound(const StopGrid& grid, int max_levels = 4,
                     size_t* nodes_visited = nullptr) const;
 
-  /// Scalar reference for UpperBound: the same traversal over the node
-  /// pages (never the SoA arena) with the scalar reachability kernels.
-  /// Bit-identical to UpperBound by construction — the agreement suite
-  /// (tests/test_simd_kernels.cc) holds both paths to it.
-  double UpperBoundScalarReference(const StopGrid& grid, int max_levels = 4,
-                                   size_t* nodes_visited = nullptr) const;
-
   /// Nodes on the path root → `idx`, inclusive.
   std::vector<int32_t> PathTo(int32_t idx) const;
 
@@ -234,10 +227,6 @@ class TQTree {
   /// valid until another CopyPage of the SAME page — appends never move
   /// existing nodes, unlike the old contiguous node array.
   TQNode& MutableNode(int32_t idx) {
-    // Any write invalidates the bound-sweep arena; it is rebuilt at the next
-    // freeze (BuildAllZIndexes). One store — negligible next to the copy
-    // check.
-    bound_arena_.valid = false;
     const auto p = static_cast<size_t>(idx) >> kNodePageShift;
     if (pages_[p]->epoch != epoch_) CopyPage(p);
     return pages_[p]->nodes[static_cast<size_t>(idx) & kNodePageMask];
@@ -256,35 +245,6 @@ class TQTree {
   /// path; no sharing, no copy accounting).
   void ResizeNodes(size_t n);
   void MarkAllZIndexesDirty();
-
-  /// SoA mirror of the per-node fields the bound sweep reads (hot-field
-  /// arena): UpperBound's descent strides four ~32-192-byte TQNode records
-  /// per level through the page table; the arena packs sub/rect/child/list
-  /// bound into contiguous per-field vectors indexed by node id, so the
-  /// sweep touches a handful of streaming cache lines instead. `zindex`
-  /// holds raw pointers into the shared_ptr-owned per-node indexes — valid
-  /// exactly while `valid` is set, because every mutation path goes through
-  /// MutableNode/AppendNode which clear it, and the owning pages outlive
-  /// the arena within this tree instance.
-  struct BoundArena {
-    bool valid = false;
-    std::vector<double> sub;
-    std::vector<Rect> rect;
-    std::vector<int32_t> first_child;
-    std::vector<double> local_ub;  // 0.0 when the node list is empty
-    std::vector<const ZIndex*> zindex;  // null unless built and clean
-    std::vector<std::span<const TrajEntry>> entries;
-  };
-  /// (Re)builds the arena from the current nodes; called at freeze time.
-  void BuildBoundArena();
-
-  /// One traversal source for every UpperBound flavour, so the arena and
-  /// page paths (and the vector and scalar kernels) visit the same nodes in
-  /// the same order and add the same terms — bounds are identical by
-  /// construction, not by coincidence.
-  template <bool kUseArena, bool kScalar>
-  double UpperBoundImpl(const StopGrid& grid, int max_levels,
-                        size_t* nodes_visited) const;
 
   void BulkBuild();
   void InsertEntry(const TrajEntry& e);
@@ -314,7 +274,6 @@ class TQTree {
   /// disabled by options.
   std::shared_ptr<PointRaster> raster_;
   bool raster_owned_ = false;
-  BoundArena bound_arena_;
 };
 
 /// Derives the soundness-preserving prune mode for a tree configuration (see

@@ -3,39 +3,33 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/simd.h"
 #include "geom/distance.h"
 
 namespace tq {
+namespace {
+
+// ψ-disk of (x, y) intersects the rectangle, in squared form: the clamped
+// per-axis distances to the rect, squared and summed, against fl(ψ²). Kept
+// squared (not a sqrt-based disk test) because Corridor::Reaches' soundness
+// argument compares it term by term with the serve predicate.
+inline bool DiskReachRect(double x, double y, const Rect& r, double psi2) {
+  const double cx1 = r.min_x - x;
+  const double cx2 = x - r.max_x;
+  const double dx0 = cx1 > cx2 ? cx1 : cx2;
+  const double dx = dx0 > 0.0 ? dx0 : 0.0;
+  const double cy1 = r.min_y - y;
+  const double cy2 = y - r.max_y;
+  const double dy0 = cy1 > cy2 ? cy1 : cy2;
+  const double dy = dy0 > 0.0 ? dy0 : 0.0;
+  return dx * dx + dy * dy <= psi2;
+}
+
+}  // namespace
 
 bool ZIndex::Corridor::Reaches(const Rect& r) const {
   const double psi2 = psi * psi;
-  const size_t n = stops.size();
-  static_assert(sizeof(Point) == 2 * sizeof(double),
-                "corridor kernel assumes Point is two packed doubles");
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    if (simd::LanesDiskReachRect(&stops[i].x, r.min_x, r.min_y, r.max_x,
-                                 r.max_y, psi2) != 0) {
-      return true;
-    }
-  }
-  for (; i < n; ++i) {
-    if (simd::scalar::DiskReachRect(stops[i].x, stops[i].y, r.min_x, r.min_y,
-                                    r.max_x, r.max_y, psi2)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ZIndex::Corridor::ReachesScalar(const Rect& r) const {
-  const double psi2 = psi * psi;
   for (const Point& s : stops) {
-    if (simd::scalar::DiskReachRect(s.x, s.y, r.min_x, r.min_y, r.max_x,
-                                    r.max_y, psi2)) {
-      return true;
-    }
+    if (DiskReachRect(s.x, s.y, r, psi2)) return true;
   }
   return false;
 }
@@ -111,18 +105,6 @@ ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
       b.ub += e.ub;
     }
     buckets_.push_back(b);
-  }
-
-  // SoA sweep mirror (see header). The per-bucket reach geometry is fixed by
-  // the prune mode at construction, so the sweep loops need no mode switch.
-  sweep_rect_a_.reserve(buckets_.size());
-  sweep_rect_b_.reserve(buckets_.size());
-  sweep_ub_.reserve(buckets_.size());
-  for (const Bucket& b : buckets_) {
-    sweep_rect_a_.push_back(prune_mode == ZPruneMode::kMbr ? b.units_mbr
-                                                           : b.start_mbr);
-    sweep_rect_b_.push_back(b.end_mbr);
-    sweep_ub_.push_back(b.ub > 0.0 ? b.ub : 0.0);
   }
 }
 
@@ -273,61 +255,18 @@ double ZIndex::UpperBound(const Corridor& corridor,
   for (const auto& [entry_index, mbr] : outliers_) {
     if (corridor.Reaches(mbr)) bound += entries[entry_index].ub;
   }
-  // Mode hoisted out of the sweep; `reachable ? ub : 0.0` keeps the loop
-  // body branch-free over the SoA arrays. Adding +0.0 for skipped buckets
-  // is bit-exact against the reference's skip: the running bound and every
-  // stored ub are non-negative, and x + 0.0 == x for x ≥ +0.0.
-  const size_t nb = sweep_ub_.size();
-  switch (prune_mode_) {
-    case ZPruneMode::kMbr:
-      // Interior points may be served: any point of any member unit lies
-      // inside the bucket's union MBR.
-      for (size_t i = 0; i < nb; ++i) {
-        bound += corridor.Reaches(sweep_rect_a_[i]) ? sweep_ub_[i] : 0.0;
-      }
-      break;
-    case ZPruneMode::kStartOrEnd:
-      // Only unit endpoints can be served; either end may score alone.
-      for (size_t i = 0; i < nb; ++i) {
-        bound += (corridor.Reaches(sweep_rect_a_[i]) ||
-                  corridor.Reaches(sweep_rect_b_[i]))
-                     ? sweep_ub_[i]
-                     : 0.0;
-      }
-      break;
-    case ZPruneMode::kStartEnd:
-      // A unit scores only with BOTH endpoints within ψ of stops.
-      for (size_t i = 0; i < nb; ++i) {
-        bound += (corridor.Reaches(sweep_rect_a_[i]) &&
-                  corridor.Reaches(sweep_rect_b_[i]))
-                     ? sweep_ub_[i]
-                     : 0.0;
-      }
-      break;
-  }
-  return bound;
-}
-
-double ZIndex::UpperBoundScalarReference(
-    const Corridor& corridor, std::span<const TrajEntry> entries) const {
-  double bound = 0.0;
-  for (const auto& [entry_index, mbr] : outliers_) {
-    if (corridor.ReachesScalar(mbr)) bound += entries[entry_index].ub;
-  }
   for (const Bucket& b : buckets_) {
     if (b.ub <= 0.0) continue;
     bool near = false;
     switch (prune_mode_) {
       case ZPruneMode::kMbr:
-        near = corridor.ReachesScalar(b.units_mbr);
+        near = corridor.Reaches(b.units_mbr);
         break;
       case ZPruneMode::kStartOrEnd:
-        near = corridor.ReachesScalar(b.start_mbr) ||
-               corridor.ReachesScalar(b.end_mbr);
+        near = corridor.Reaches(b.start_mbr) || corridor.Reaches(b.end_mbr);
         break;
       case ZPruneMode::kStartEnd:
-        near = corridor.ReachesScalar(b.start_mbr) &&
-               corridor.ReachesScalar(b.end_mbr);
+        near = corridor.Reaches(b.start_mbr) && corridor.Reaches(b.end_mbr);
         break;
     }
     if (near) bound += b.ub;

@@ -86,16 +86,12 @@ class ZIndex {
     /// predicate every pruning layer shares (zReduce bucket filtering,
     /// the z-node bound, the tree bound), so bound and evaluator can
     /// never diverge geometrically. Tested in squared form
-    /// (min_d²(stop, r) ≤ fl(ψ²)) with the 4-wide kernel: correctly
+    /// (min_d²(stop, r) ≤ fl(ψ²)), one stop at a time: correctly
     /// rounded subtract/multiply/add are monotone, so for any point p
     /// inside r served by stop s the clamped rect distances compute
     /// ≤ the serve predicate's — the filter can never drop a rect that
     /// contains a served point.
     bool Reaches(const Rect& r) const;
-
-    /// Scalar reference for Reaches — same squared predicate one stop at
-    /// a time. Retained for the agreement suite.
-    bool ReachesScalar(const Rect& r) const;
   };
 
   /// Invokes `fn` for every entry that survives zReduce pruning against the
@@ -126,13 +122,6 @@ class ZIndex {
   double UpperBound(const Corridor& corridor,
                     std::span<const TrajEntry> entries) const;
 
-  /// Scalar reference for UpperBound: the per-bucket mode switch with
-  /// ReachesScalar. Bit-identical to UpperBound by construction (predicate
-  /// kernels agree lane-for-lane; the sweep adds the same non-negative
-  /// bucket ubs in the same ascending order).
-  double UpperBoundScalarReference(const Corridor& corridor,
-                                   std::span<const TrajEntry> entries) const;
-
  private:
   struct EntryRef {
     uint64_t start_key = 0;   // adaptive start-cell key (range begin)
@@ -159,15 +148,6 @@ class ZIndex {
   std::unique_ptr<CellTree> end_tree_;
   std::vector<EntryRef> refs_;
   std::vector<Bucket> buckets_;
-  // SoA mirror of the bucket fields the bound sweep reads, so UpperBound
-  // streams two or three contiguous arrays instead of striding the ~130-byte
-  // Bucket records. rect_a is the units MBR under kMbr, else the start MBR;
-  // rect_b is the end MBR (unused under kMbr). ub is clamped to ≥ 0 so the
-  // branchless sweep's `reachable ? ub : 0.0` matches the reference's
-  // skip-if-nonpositive exactly.
-  std::vector<Rect> sweep_rect_a_;
-  std::vector<Rect> sweep_rect_b_;
-  std::vector<double> sweep_ub_;
   std::vector<Rect> entry_mbrs_;  // parallel to refs_, for kMbr pruning
   // Entries with points outside the node rectangle (possible after dynamic
   // inserts beyond the construction-time world): z-cells cannot represent

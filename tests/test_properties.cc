@@ -104,7 +104,9 @@ TEST_P(TopKSweepTest, BestFirstValueEqualsExhaustiveForEveryK) {
 INSTANTIATE_TEST_SUITE_P(KSweep, TopKSweepTest,
                          ::testing::Values(1, 2, 4, 8, 16, 31, 32),
                          [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "k" + std::to_string(info.param);
+                           std::string name = "k";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 class MultipointSweepTest

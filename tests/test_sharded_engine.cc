@@ -53,7 +53,7 @@ TEST(ResultCacheSharded, InvalidateShardBeforeDropsOnlyThatShard) {
                 static_cast<double>(10 * shard + gen));
     }
   }
-  EXPECT_EQ(cache.InvalidateShardBefore(0, 2), 1u);  // shard 0 gen 1 only
+  EXPECT_EQ(cache.InvalidateShardsBefore({0}, 2), 1u);  // shard 0 gen 1 only
   double v = 0.0;
   EXPECT_FALSE(cache.Get(ResultCache::Key{7, 0, 1, 0}, &v));
   EXPECT_TRUE(cache.Get(ResultCache::Key{7, 0, 2, 0}, &v));

@@ -1120,12 +1120,12 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--", 2) != 0) return Usage();
     // A key directly followed by another --key (or nothing) is a valueless
     // flag, e.g. --coordinator.
+    std::string key(argv[i] + 2);
+    std::string value("1");
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.kv[argv[i] + 2] = argv[i + 1];
-      ++i;
-    } else {
-      args.kv[argv[i] + 2] = "1";
+      value = argv[++i];
     }
+    args.kv.insert_or_assign(std::move(key), std::move(value));
   }
   if (args.command == "generate") return CmdGenerate(args);
   if (args.command == "stats") return CmdStats(args);
