@@ -5,14 +5,17 @@
 // "# json: {"bench":"kernel_micro",...}" line timing each service kernel
 // against an in-binary replica of the seed implementation, where one
 // exists. CI's kernel-regression gate parses that line: it fails when a
-// kernel's active_ns / seed_ns ratio grows ≥20% over the committed
-// baseline (bench/kernel_baseline.json).
+// kernel's active_vs_seed_ratio (the median of per-pair active / seed
+// ratios over interleaved back-to-back pairs) grows ≥20% over the
+// committed baseline (bench/kernel_baseline.json).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/timer.h"
@@ -271,24 +274,24 @@ BENCHMARK(BM_ZIndexRebuild)->Arg(1000)->Arg(10000);
 // Deliberately independent of google-benchmark's reporter so the CI gate
 // parses a stable format (same "# json:" convention as the other binaries).
 
-// Best-of-3 timing of `fn`, each rep running `fn` until ≥ 50 ms elapsed.
+// One timed rep: one warm-up call, then `fn` until ≥ 50 ms elapsed.
 // Returns nanoseconds per work unit.
 template <typename Fn>
-double TimeNsPerUnit(size_t units_per_call, Fn&& fn) {
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    fn();  // warm caches, fault pages
-    size_t calls = 0;
-    Timer t;
-    do {
-      fn();
-      ++calls;
-    } while (t.ElapsedSeconds() < 0.05);
-    const double ns =
-        t.ElapsedSeconds() * 1e9 / (static_cast<double>(calls) * units_per_call);
-    if (rep == 0 || ns < best) best = ns;
-  }
-  return best;
+double NsPerUnit(size_t units_per_call, Fn&& fn) {
+  fn();  // warm caches, fault pages
+  size_t calls = 0;
+  Timer t;
+  do {
+    fn();
+    ++calls;
+  } while (t.ElapsedSeconds() < 0.05);
+  return t.ElapsedSeconds() * 1e9 /
+         (static_cast<double>(calls) * units_per_call);
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 struct KernelRow {
@@ -296,7 +299,36 @@ struct KernelRow {
   double seed_ns;    // growth seed's implementation (bench-local replica);
                      // 0 when no faithful seed replica exists for the kernel
   double active_ns;  // the library's implementation
+  double active_vs_seed_ratio;  // the gated value; 0 without a seed replica
 };
+
+// Times the seed replica and the library kernel as kPairs back-to-back
+// pairs, alternating which runs first, so host drift (clock, steal,
+// neighbours) lands on both sides of every per-pair ratio. The gated ratio
+// is the median of the per-pair ratios; the ns columns are the medians of
+// each side.
+constexpr int kPairs = 9;
+
+template <typename SeedFn, typename ActiveFn>
+KernelRow TimeAgainstSeed(const char* kernel, size_t units_per_call,
+                          SeedFn&& seed, ActiveFn&& active) {
+  std::vector<double> seed_ns, active_ns, ratios;
+  for (int i = 0; i < kPairs; ++i) {
+    double s = 0.0;
+    double a = 0.0;
+    if (i % 2 == 0) {
+      s = NsPerUnit(units_per_call, seed);
+      a = NsPerUnit(units_per_call, active);
+    } else {
+      a = NsPerUnit(units_per_call, active);
+      s = NsPerUnit(units_per_call, seed);
+    }
+    seed_ns.push_back(s);
+    active_ns.push_back(a);
+    ratios.push_back(a / s);
+  }
+  return {kernel, Median(seed_ns), Median(active_ns), Median(ratios)};
+}
 
 // Seed-replica evaluation loop: the seed's ServiceEvaluator bodies called
 // grid.Serves(p) per point on the unordered_map grid.
@@ -337,17 +369,18 @@ void EmitKernelMicroJson() {
   {  // StopGrid point-serve: seed map-probe vs the dilated grid.
     const ServesWorkload w;
     volatile size_t sink = 0;
-    const double seed_ns = TimeNsPerUnit(w.probes.size(), [&] {
-      size_t served = 0;
-      for (const Point& p : w.probes) served += w.seed_grid.Serves(p);
-      sink = served;
-    });
-    const double active_ns = TimeNsPerUnit(w.probes.size(), [&] {
-      size_t served = 0;
-      for (const Point& p : w.probes) served += w.grid.Serves(p);
-      sink = served;
-    });
-    rows.push_back({"stopgrid_serves", seed_ns, active_ns});
+    rows.push_back(TimeAgainstSeed(
+        "stopgrid_serves", w.probes.size(),
+        [&] {
+          size_t served = 0;
+          for (const Point& p : w.probes) served += w.seed_grid.Serves(p);
+          sink = served;
+        },
+        [&] {
+          size_t served = 0;
+          for (const Point& p : w.probes) served += w.grid.Serves(p);
+          sink = served;
+        }));
   }
 
   {  // Exact evaluation, all three scenarios over the same NYF users.
@@ -362,21 +395,22 @@ void EmitKernelMicroJson() {
       const ServiceEvaluator eval(&users, models[s]);
       const StopGrid grid(routes.points(0), models[s].psi);
       const SeedStopGrid seed_grid(routes.points(0), models[s].psi);
-      const double seed_ns = TimeNsPerUnit(users.size(), [&] {
-        double total = 0.0;
-        for (uint32_t u = 0; u < users.size(); ++u) {
-          total += SeedEvaluate(seed_grid, users, u, models[s]);
-        }
-        sink = total;
-      });
-      const double active_ns = TimeNsPerUnit(users.size(), [&] {
-        double total = 0.0;
-        for (uint32_t u = 0; u < users.size(); ++u) {
-          total += eval.Evaluate(u, grid);
-        }
-        sink = total;
-      });
-      rows.push_back({names[s], seed_ns, active_ns});
+      rows.push_back(TimeAgainstSeed(
+          names[s], users.size(),
+          [&] {
+            double total = 0.0;
+            for (uint32_t u = 0; u < users.size(); ++u) {
+              total += SeedEvaluate(seed_grid, users, u, models[s]);
+            }
+            sink = total;
+          },
+          [&] {
+            double total = 0.0;
+            for (uint32_t u = 0; u < users.size(); ++u) {
+              total += eval.Evaluate(u, grid);
+            }
+            sink = total;
+          }));
     }
   }
 
@@ -393,18 +427,22 @@ void EmitKernelMicroJson() {
       grids.emplace_back(routes.points(f), opt.model.psi);
     }
     volatile double sink = 0.0;
-    const double active_ns = TimeNsPerUnit(grids.size(), [&] {
-      double total = 0.0;
-      for (const StopGrid& g : grids) total += tree.UpperBound(g);
-      sink = total;
-    });
-    rows.push_back({"zindex_bucket_scan", 0.0, active_ns});
+    std::vector<double> active_ns;
+    for (int i = 0; i < kPairs; ++i) {
+      active_ns.push_back(NsPerUnit(grids.size(), [&] {
+        double total = 0.0;
+        for (const StopGrid& g : grids) total += tree.UpperBound(g);
+        sink = total;
+      }));
+    }
+    rows.push_back({"zindex_bucket_scan", 0.0, Median(active_ns), 0.0});
   }
 
   const auto vs_seed = [](const KernelRow& r) {
-    return r.seed_ns > 0 && r.active_ns > 0 ? r.seed_ns / r.active_ns : 0.0;
+    return r.active_vs_seed_ratio > 0 ? 1.0 / r.active_vs_seed_ratio : 0.0;
   };
-  std::printf("\nkernel_micro (ns/unit, best of 3)\n");
+  std::printf("\nkernel_micro (ns/unit, median of %d interleaved pairs)\n",
+              kPairs);
   std::printf("  %-20s %10s %10s %9s\n", "kernel", "seed", "active",
               "vs_seed");
   for (const KernelRow& r : rows) {
@@ -415,9 +453,9 @@ void EmitKernelMicroJson() {
   for (size_t i = 0; i < rows.size(); ++i) {
     const KernelRow& r = rows[i];
     std::printf("%s{\"kernel\":\"%s\",\"seed_ns\":%.3f,\"active_ns\":%.3f,"
-                "\"speedup_vs_seed\":%.3f}",
+                "\"active_vs_seed_ratio\":%.4f,\"speedup_vs_seed\":%.3f}",
                 i == 0 ? "" : ",", r.kernel, r.seed_ns, r.active_ns,
-                vs_seed(r));
+                r.active_vs_seed_ratio, vs_seed(r));
   }
   std::printf("]}\n");
 }

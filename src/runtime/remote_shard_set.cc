@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "runtime/topk_coordinator.h"
 
 namespace tq::runtime {
 
@@ -439,8 +439,8 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
 
   const size_t n = channels_.size();
   std::vector<size_t> parts = AliveWorkers();
-  // Per-worker round-1 state; only slots in `parts` are ever read, so a
-  // worker dying mid-protocol implicitly drops its contribution.
+  // Per-worker state; only workers in `parts` are ever read, so a worker
+  // dying mid-protocol implicitly drops its contribution.
   std::vector<std::vector<double>> bounds(n);
   std::vector<std::vector<double>> exact(n);
   std::vector<std::vector<uint8_t>> known(n);
@@ -472,10 +472,15 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
       });
   if (trace != nullptr) trace->AddSpan(kSpanRound1, -1, r1_t0, NowNs());
 
-  // Refinement: recompute the candidate set from the CURRENT survivors and
-  // re-scatter until nothing is missing. Each iteration either finishes
-  // (no deaths during its wave) or loses at least one worker, so the loop
-  // runs at most num_workers times.
+  // Each pass runs a TopKCoordinator over the current survivors, one part
+  // per worker (ascending, so complete totals are summed in shard order).
+  // Slots a worker already settled complete inline; the rest are fetched in
+  // one kSum wave, and the next pass starts over with what it learned. A
+  // pass either settles the answer, loses a worker, or fetches every slot
+  // the next pass will ask for (the drain stops only once every facility
+  // left is below τ; τ only rises and cur only falls), so a run without
+  // failures sends at most one refinement wave.
+  std::vector<RankedFacility> ranked;
   for (;;) {
     if (parts.empty()) {
       response.status =
@@ -484,44 +489,32 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
       return response;
     }
     const uint64_t co_t0 = trace != nullptr ? NowNs() : 0;
-    // B(f) over survivors, L(f) over survivors that settled f exactly.
-    std::vector<double> b(num_fac, 0.0);
-    std::vector<double> l(num_fac, 0.0);
-    for (size_t w : parts) {
-      for (size_t f = 0; f < num_fac; ++f) {
-        b[f] += bounds[w][f];
-        if (known[w][f] != 0) l[f] += exact[w][f];
-      }
-    }
-    // τ = k-th largest known lower bound; B(f) < τ proves f is not top-k.
-    std::vector<double> order = l;
-    std::nth_element(order.begin(), order.begin() + (eff_k - 1), order.end(),
-                     std::greater<double>());
-    const double tau = order[eff_k - 1];
+    std::vector<std::vector<double>> part_bounds;
+    part_bounds.reserve(parts.size());
+    for (size_t w : parts) part_bounds.push_back(bounds[w]);
+    TopKCoordinator coord(part_bounds, eff_k, num_fac * parts.size());
     std::vector<std::vector<FacilityId>> need(n);
-    bool any_need = false;
-    for (size_t f = 0; f < num_fac; ++f) {
-      bool fully = true;
-      for (size_t w : parts) {
-        if (known[w][f] == 0) fully = false;
-      }
-      if (fully || b[f] < tau) continue;
-      for (size_t w : parts) {
-        if (known[w][f] == 0) {
-          need[w].push_back(static_cast<FacilityId>(f));
-          any_need = true;
-        }
+    TopKCoordinator::Slot slot;
+    while (coord.Next(&slot) == TopKCoordinator::Step::kEvaluate) {
+      const size_t w = parts[slot.part];
+      if (known[w][slot.facility] != 0) {
+        coord.Complete(slot, exact[w][slot.facility]);
+      } else {
+        need[w].push_back(slot.facility);
       }
     }
-    if (trace != nullptr) trace->AddSpan(kSpanCoordinate, -1, co_t0, NowNs());
-    if (!any_need) break;
-
     std::vector<size_t> wave;
     for (size_t w : parts) {
       if (!need[w].empty()) wave.push_back(w);
     }
+    if (trace != nullptr) trace->AddSpan(kSpanCoordinate, -1, co_t0, NowNs());
+    if (wave.empty()) {
+      ranked = coord.Settled();
+      break;
+    }
+
     const uint64_t r2_t0 = trace != nullptr ? NowNs() : 0;
-    const bool lost = RunWave(
+    RunWave(
         &wave,
         [&need](size_t w) { return net::NetRequest::Sum(need[w]); },
         [&](size_t w, net::NetResponse&& resp) -> Status {
@@ -540,32 +533,16 @@ QueryResponse RemoteShardSet::RunTopK(size_t k, TraceContext* trace) {
           return Status::OK();
         });
     if (trace != nullptr) trace->AddSpan(kSpanRound2, -1, r2_t0, NowNs());
-    if (!lost) break;
     parts.erase(std::remove_if(parts.begin(), parts.end(),
                                [this](size_t w) { return !registry_.alive(w); }),
                 parts.end());
   }
 
-  // Merge: a facility is complete when every survivor settled it. At least
-  // k are (the ≥ τ candidates were all refined), and every pruned facility
-  // provably ranks below them.
   const uint64_t mg_t0 = trace != nullptr ? NowNs() : 0;
-  std::vector<RankedFacility> complete;
-  for (size_t f = 0; f < num_fac; ++f) {
-    bool fully = true;
-    for (size_t w : parts) {
-      if (known[w][f] == 0) fully = false;
-    }
-    if (!fully) continue;
-    double sum = 0.0;
-    for (size_t w : parts) sum += exact[w][f];
-    complete.push_back(RankedFacility{static_cast<FacilityId>(f), sum});
-  }
-  const size_t take = std::min(eff_k, complete.size());
-  std::partial_sort(complete.begin(), complete.begin() + take, complete.end(),
+  std::partial_sort(ranked.begin(), ranked.begin() + eff_k, ranked.end(),
                     RankedBefore);
-  complete.resize(take);
-  response.ranked = std::move(complete);
+  ranked.resize(eff_k);
+  response.ranked = std::move(ranked);
   if (version != 0) response.snapshot_version = version;
   if (trace != nullptr) trace->AddSpan(kSpanMerge, -1, mg_t0, NowNs());
   MarkPartialIfDegraded(parts.size(), &response);

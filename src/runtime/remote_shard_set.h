@@ -2,43 +2,28 @@
 // "shards" are shard-worker PROCESSES reached over the wire protocol.
 //
 // A RemoteShardSet owns no trees. It holds one channel (a small pool of
-// pipelined NetClient connections) per worker, a WorkerRegistry tracking
-// liveness, and runs a two-round bound-and-prune top-k protocol on the
-// same threshold proof as ShardedEngine — one level up, with each worker
-// acting as a "super-shard":
+// pipelined NetClient connections) per worker and a WorkerRegistry tracking
+// liveness. Top-k runs the same TopKCoordinator as ShardedEngine (the
+// pruning proof is in topk_coordinator.h) with one part per alive worker:
+// a kBound wave supplies each part's bounds and the slots that worker
+// already settled, and one kSum wave fetches the rest (RunTopK).
 //
-//   round 1   one kBound frame per alive worker. Worker w answers with
-//             B_w(f) = Σ_{owned s} UB_s(f) per facility plus the exact
-//             values E_w(f) its local best-first refinement settled.
-//   coordinate  B(f) = Σ_w B_w(f), L(f) = Σ_{w that settled f} E_w(f),
-//             τ = k-th largest L; candidates are the not-fully-settled
-//             facilities with B(f) ≥ τ — every pruned facility satisfies
-//             SO(f) ≤ B(f) < τ ≤ k-th exact value, the same proof as the
-//             in-process protocol (sharded_engine.h).
-//   round 2   one plain kSum frame per worker for the candidates that
-//             worker has not settled; merge, rank by (value desc, id asc).
-//
-// Every k ≥ 1 runs this protocol. At k = |F| each worker's local
-// coordinator settles every facility during round 1, so no round 2 is sent.
-//
-// Bit-identity: every per-facility total is a sum of per-shard values in
-// ascending shard order — workers own contiguous ascending shard ranges and
-// are summed in worker order, and a worker's non-owned shards contribute an
-// exact 0.0. For integer-valued service models (point/endpoint counts, the
-// NYF/NYBus presets) every partial sum is exact below 2^53, so coordinator
-// answers equal the single-process ShardedEngine bit for bit — the property
-// the CI distributed-smoke job diffs. Float-valued models (e.g. "length")
-// agree only up to summation associativity.
+// Bit-identity: workers own contiguous ascending shard ranges and the
+// coordinator sums parts in order, so every total is summed in ascending
+// shard order, as in one process. For integer-valued service models
+// (point/endpoint counts, the NYF/NYBus presets) every partial sum is exact
+// below 2^53, so answers equal the single-process ShardedEngine bit for bit
+// — the property the CI distributed-smoke job diffs. Float-valued models
+// (e.g. "length") agree only up to summation associativity.
 //
 // Failure handling: any failed RPC moves the worker to kDead in the
 // registry (worker_failures increments on the transition). A query keeps
 // going with the survivors — mid-protocol death drops ALL of that worker's
-// round-1 data, recomputes τ and the candidate set from the survivors, and
-// re-scatters the refinement wave — and the answer comes back with
-// StatusCode::kUnavailable marking it partial (computed over the surviving
-// workers' users only). Dead workers are re-registered by the periodic
-// heartbeat pass (Tick, driven by the net server's timerfd) once they come
-// back AND their geometry still matches.
+// data and the next pass rebuilds the coordinator over the survivors — and
+// the answer comes back with StatusCode::kUnavailable marking it partial
+// (computed over the surviving workers' users only). Dead workers are
+// re-registered by the periodic heartbeat pass (Tick, driven by the net
+// server's timerfd) once they come back AND their geometry still matches.
 //
 // Writes fan out to every alive worker: each applies the identical batch,
 // and because global-id assignment is deterministic (ShardedEngine routes

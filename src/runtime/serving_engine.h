@@ -102,9 +102,9 @@ struct EngineInfo {
 
 /// Result of a round-1 top-k bound sweep over an engine's owned shards:
 /// per-facility upper bounds plus the facilities the sweep already settled
-/// exactly. The coordinator treats each worker as one "super-shard" —
-/// B(f) = Σ_w bounds_w[f] and L(f) = Σ_{w that settled f} exact_w(f) feed
-/// the same prune threshold proof as the in-process protocol.
+/// exactly. A RemoteShardSet makes each worker one part of its
+/// TopKCoordinator: `bounds` is that part's UB row, and each exact value
+/// completes its slot without a refine RPC.
 struct BoundSweepResult {
   Status status;
   uint64_t snapshot_version = 0;

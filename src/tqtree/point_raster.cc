@@ -108,10 +108,4 @@ double PointRaster::MassNearStops(std::span<const Point> stops,
   return sum * kDriftInflation;
 }
 
-double PointRaster::TotalMass() const {
-  double sum = 0.0;
-  for (const double m : mass_) sum += std::max(0.0, m);
-  return sum;
-}
-
 }  // namespace tq

@@ -65,9 +65,6 @@ class PointRaster {
   /// bound; a deflated one would prune real answers).
   double MassNearStops(std::span<const Point> stops, double psi) const;
 
-  /// Total deposited mass (tests / diagnostics).
-  double TotalMass() const;
-
  private:
   size_t ColOf(double x) const;
   size_t RowOf(double y) const;

@@ -2,10 +2,13 @@
 // over loopback shard-worker processes (each a ShardedEngine owning a slice
 // of the partition behind a NetServer) answers sums and top-k BIT-IDENTICALLY
 // to a single-process ShardedEngine over the full partition, for shards
-// {2, 4} × workers {1, 2} on the NYF preset; updates fan out and keep the
-// identity; a killed worker degrades answers to StatusCode::kUnavailable
-// without hanging; and the new wire frame types (kRegister, kHeartbeat,
-// kBound, kStatus) round-trip losslessly.
+// {2, 4} × workers {1, 2} on the NYF preset; top-k also for workers
+// {1, 2, 4} × k from 1 to |F| against the exhaustive ranking, within one
+// kBound wave plus at most one refinement wave; updates fan out and keep the
+// identity; a worker killed before a query, or failing its refinement wave
+// mid-protocol, degrades answers to StatusCode::kUnavailable without hanging;
+// and the new wire frame types (kRegister, kHeartbeat, kBound, kStatus)
+// round-trip losslessly.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -18,9 +21,14 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "query/topk.h"
 #include "runtime/remote_shard_set.h"
 #include "runtime/sharded_engine.h"
+#include "runtime/trace.h"
+#include "service/evaluator.h"
+#include "service/facility_index.h"
 #include "test_util.h"
+#include "tqtree/tq_tree.h"
 
 namespace tq {
 namespace {
@@ -96,12 +104,13 @@ RemoteShardSetOptions CoordOptions(const std::vector<Worker>& workers) {
   return ro;
 }
 
-/// Synchronous query through any ServingEngine.
-QueryResponse RunQuery(ServingEngine& engine, QueryRequest request) {
+/// Synchronous query through any ServingEngine, optionally traced.
+QueryResponse RunQuery(ServingEngine& engine, QueryRequest request,
+                       runtime::TraceContextPtr trace = nullptr) {
   std::promise<QueryResponse> promise;
   std::future<QueryResponse> future = promise.get_future();
   engine.SubmitAsync(
-      std::move(request), nullptr,
+      std::move(request), std::move(trace),
       [&promise](QueryResponse r) { promise.set_value(std::move(r)); }, 0);
   return future.get();
 }
@@ -151,22 +160,49 @@ TEST(Distributed, CoordinatorMatchesSingleProcessMatrixNyf) {
   }
 }
 
-// One protocol from k = 1 up to k = |F|: at k = |F| every worker settles
-// every facility in the bound round, so the answer needs no refinement wave.
+// One protocol from k = 1 up to k = |F|, for 1, 2 and 4 workers: the answer
+// equals the single-process engine and the library's exhaustive ranking on
+// one tree over all users, bit for bit. Without failures a top-k costs one
+// kBound wave plus at most one refinement wave.
 TEST(Distributed, TopKProtocolAgreesFromSmallToFullK) {
   const TrajectorySet users = presets::NyfCheckins(800);
   const TrajectorySet fac = presets::NyBusRoutes(16, 10);
-  ShardedEngine reference(users, fac, EngineOptions(4));
-  std::vector<Worker> workers = MakeWorkers(users, fac, 4, 2);
-  RemoteShardSet coord(CoordOptions(workers));
-  ASSERT_TRUE(coord.Connect().ok());
-  for (const size_t k : {size_t{1}, size_t{5}, fac.size()}) {
-    const QueryResponse want = RunQuery(reference, QueryRequest::TopK(k));
-    const QueryResponse got = RunQuery(coord, QueryRequest::TopK(k));
-    ASSERT_EQ(want.ranked.size(), got.ranked.size());
-    for (size_t i = 0; i < want.ranked.size(); ++i) {
-      EXPECT_EQ(want.ranked[i].id, got.ranked[i].id);
-      EXPECT_EQ(want.ranked[i].value, got.ranked[i].value);
+  const ShardedEngineOptions so = EngineOptions(4);
+  ShardedEngine reference(users, fac, so);
+  TQTree tree(&users, so.tree);
+  const ServiceEvaluator eval(&users, so.tree.model);
+  const FacilityCatalog catalog(&fac, so.tree.model.psi);
+  for (const size_t num_workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    std::vector<Worker> workers = MakeWorkers(users, fac, 4, num_workers);
+    RemoteShardSet coord(CoordOptions(workers));
+    ASSERT_TRUE(coord.Connect().ok());
+    for (const size_t k : {size_t{1}, size_t{2}, size_t{5}, fac.size() - 1,
+                           fac.size()}) {
+      SCOPED_TRACE("workers=" + std::to_string(num_workers) +
+                   " k=" + std::to_string(k));
+      const uint64_t rpcs0 = coord.mutable_metrics()->Read().coord_rpcs;
+      auto trace = std::make_shared<runtime::TraceContext>("topk", k);
+      const QueryResponse got = RunQuery(coord, QueryRequest::TopK(k), trace);
+      const uint64_t rpcs = coord.mutable_metrics()->Read().coord_rpcs - rpcs0;
+      ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+      EXPECT_LE(rpcs, 2 * num_workers);
+      size_t refine_waves = 0;
+      for (size_t i = 0; i < trace->num_spans(); ++i) {
+        if (std::string(trace->span(i).name) == "rpc_round2") ++refine_waves;
+      }
+      EXPECT_LE(refine_waves, 1u);
+      const QueryResponse want = RunQuery(reference, QueryRequest::TopK(k));
+      const std::vector<RankedFacility> exhaustive =
+          TopKFacilitiesExhaustiveTQ(&tree, catalog, eval, k).ranked;
+      ASSERT_EQ(want.ranked.size(), k);
+      ASSERT_EQ(exhaustive.size(), k);
+      ASSERT_EQ(got.ranked.size(), k);
+      for (size_t i = 0; i < k; ++i) {
+        EXPECT_EQ(want.ranked[i].id, got.ranked[i].id) << "rank " << i;
+        EXPECT_EQ(want.ranked[i].value, got.ranked[i].value) << "rank " << i;
+        EXPECT_EQ(exhaustive[i].id, got.ranked[i].id) << "rank " << i;
+        EXPECT_EQ(exhaustive[i].value, got.ranked[i].value) << "rank " << i;
+      }
     }
   }
 }
@@ -223,6 +259,91 @@ TEST(Distributed, WorkerDeathDegradesWithoutHanging) {
   EXPECT_EQ(m.worker_failures, 1u);
   EXPECT_GE(m.coord_partial, 2u);
 
+  const auto status = coord.Workers();
+  ASSERT_EQ(status.size(), 2u);
+  EXPECT_EQ(status[0].state, 1u);  // alive
+  EXPECT_EQ(status[1].state, 2u);  // dead
+}
+
+/// A shard worker that answers the kBound sweep normally but fails every
+/// sum query: seen from the coordinator it dies in the middle of a top-k,
+/// at the refinement wave. Everything else is forwarded to `inner`.
+class FailingSumsEngine : public ServingEngine {
+ public:
+  explicit FailingSumsEngine(ShardedEngine* inner) : inner_(inner) {}
+
+  runtime::MetricsRegistry* mutable_metrics() override {
+    return inner_->mutable_metrics();
+  }
+  const runtime::Tracer& tracer() const override { return inner_->tracer(); }
+  runtime::Tracer* mutable_tracer() override {
+    return inner_->mutable_tracer();
+  }
+  double psi() const override { return inner_->psi(); }
+  uint64_t snapshot_version() const override {
+    return inner_->snapshot_version();
+  }
+  std::vector<uint64_t> shard_generations() const override {
+    return inner_->shard_generations();
+  }
+  runtime::EngineInfo info() const override { return inner_->info(); }
+  void SubmitAsync(QueryRequest request, runtime::TraceContextPtr trace,
+                   ResponseCallback done, uint64_t start_ns) override {
+    if (request.kind == runtime::QueryKind::kServiceValue) {
+      QueryResponse failed;
+      failed.status = Status::Internal("injected sum failure");
+      done(std::move(failed));
+      return;
+    }
+    inner_->SubmitAsync(std::move(request), std::move(trace), std::move(done),
+                        start_ns);
+  }
+  std::vector<uint32_t> ApplyUpdates(const UpdateBatch& batch) override {
+    return inner_->ApplyUpdates(batch);
+  }
+  void TopKBoundSweepAsync(size_t k, BoundSweepCallback done) override {
+    inner_->TopKBoundSweepAsync(k, std::move(done));
+  }
+
+ private:
+  ShardedEngine* inner_;
+};
+
+// A worker that answers round 1 and then fails its refinement kSum is
+// dropped mid-protocol: the next pass runs over the survivor alone, so the
+// partial answer is exactly the survivor's own top-k.
+TEST(Distributed, WorkerDeathMidRefinementDegradesToSurvivor) {
+  const TrajectorySet users = presets::NyfCheckins(800);
+  const TrajectorySet fac = presets::NyBusRoutes(16, 10);
+  Worker healthy = MakeWorker(users, fac, 4, 0, 2);
+  ShardedEngineOptions so = EngineOptions(4);
+  so.owned_begin = 2;
+  so.owned_end = 4;
+  ShardedEngine inner(users, fac, so);
+  FailingSumsEngine failing(&inner);
+  NetServer failing_server(&failing, NetServerOptions{});
+  ASSERT_TRUE(failing_server.Start().ok());
+
+  RemoteShardSetOptions ro;
+  ro.workers.emplace_back("127.0.0.1", healthy.port());
+  ro.workers.emplace_back("127.0.0.1", failing_server.port());
+  ro.num_threads = 2;
+  RemoteShardSet coord(ro);
+  ASSERT_TRUE(coord.Connect().ok());
+
+  const size_t k = 5;
+  const QueryResponse got = RunQuery(coord, QueryRequest::TopK(k));
+  EXPECT_EQ(got.status.code(), StatusCode::kUnavailable);
+  const QueryResponse want = RunQuery(*healthy.engine, QueryRequest::TopK(k));
+  ASSERT_TRUE(want.status.ok());
+  ASSERT_EQ(got.ranked.size(), k);
+  ASSERT_EQ(want.ranked.size(), k);
+  for (size_t i = 0; i < k; ++i) {
+    EXPECT_EQ(want.ranked[i].id, got.ranked[i].id) << "rank " << i;
+    EXPECT_EQ(want.ranked[i].value, got.ranked[i].value) << "rank " << i;
+  }
+  // The failure came from the refinement wave: round 1 reached both.
+  EXPECT_EQ(coord.mutable_metrics()->Read().worker_failures, 1u);
   const auto status = coord.Workers();
   ASSERT_EQ(status.size(), 2u);
   EXPECT_EQ(status[0].state, 1u);  // alive

@@ -5,7 +5,10 @@
 //     1–8 and random completion orders — the settled facilities ranked by
 //     RankedBefore equal the exhaustive sort bit for bit, no slot is
 //     requested twice, no zero-bound slot is requested, the cap holds, and
-//     kDone arrives exactly once with nothing in flight;
+//     kDone arrives exactly once with nothing in flight; and in the
+//     drain mode (cap = every slot, pre-known slots completed inline, the
+//     rest after kWait) the same ranking comes out of one batch, with kDone
+//     the very next step;
 //   * scheduling: one slot at a time follows the documented best-first
 //     order (largest cur(f), highest-UB part first) and stops at τ.
 // Runs under TSan in CI beside test_topk_prune.
@@ -72,6 +75,21 @@ std::vector<RankedFacility> ExhaustiveTopK(const Instance& in, size_t k) {
   return all;
 }
 
+// The settled facilities ranked by RankedBefore must be the exhaustive
+// top-k bit for bit.
+void ExpectExhaustiveRanking(const TopKCoordinator& coord, const Instance& in,
+                             size_t k, const std::string& label) {
+  std::vector<RankedFacility> got = coord.Settled();
+  ASSERT_GE(got.size(), k) << label;
+  std::sort(got.begin(), got.end(), RankedBefore);
+  got.resize(k);
+  const std::vector<RankedFacility> want = ExhaustiveTopK(in, k);
+  for (size_t r = 0; r < k; ++r) {
+    EXPECT_EQ(got[r].id, want[r].id) << label << " rank " << r;
+    EXPECT_EQ(got[r].value, want[r].value) << label << " rank " << r;
+  }
+}
+
 // Drives one coordinator to kDone, completing a random in-flight slot at
 // each step, and checks the protocol invariants along the way.
 void DriveAndCheck(const Instance& in, size_t k, size_t cap, Rng* rng,
@@ -118,19 +136,44 @@ void DriveAndCheck(const Instance& in, size_t k, size_t cap, Rng* rng,
   EXPECT_EQ(coord.requested(), requested.size()) << label;
   EXPECT_EQ(coord.num_slots(), parts * facilities) << label;
 
-  std::vector<RankedFacility> got = coord.Settled();
-  ASSERT_GE(got.size(), k) << label;
-  std::sort(got.begin(), got.end(), RankedBefore);
-  got.resize(k);
-  const std::vector<RankedFacility> want = ExhaustiveTopK(in, k);
-  for (size_t r = 0; r < k; ++r) {
-    EXPECT_EQ(got[r].id, want[r].id) << label << " rank " << r;
-    EXPECT_EQ(got[r].value, want[r].value) << label << " rank " << r;
+  ExpectExhaustiveRanking(coord, in, k, label);
+}
+
+// The pattern of a caller that already knows some exact values (the remote
+// coordinator's round-1 results): with the cap at every slot, one drain
+// completes the pre-known slots inline as Next() hands them out and leaves
+// the rest in flight; once those complete, the very next Next() is kDone —
+// one batch of evaluations settles the answer.
+void DrainOnceAndCheck(const Instance& in, size_t k, Rng* rng,
+                       const std::string& label) {
+  const size_t parts = in.bounds.size();
+  const size_t facilities = in.bounds[0].size();
+  TopKCoordinator coord(in.bounds, k, parts * facilities);
+  std::vector<uint8_t> preknown(parts * facilities);
+  for (uint8_t& known : preknown) known = rng->NextBernoulli(0.5) ? 1 : 0;
+  std::vector<TopKCoordinator::Slot> deferred;
+  TopKCoordinator::Slot slot;
+  Step step;
+  while ((step = coord.Next(&slot)) == Step::kEvaluate) {
+    if (preknown[slot.facility * parts + slot.part] != 0) {
+      coord.Complete(slot, in.exact[slot.part][slot.facility]);
+    } else {
+      deferred.push_back(slot);
+    }
   }
+  EXPECT_EQ(step, deferred.empty() ? Step::kDone : Step::kWait) << label;
+  for (const TopKCoordinator::Slot& s : deferred) {
+    coord.Complete(s, in.exact[s.part][s.facility]);
+  }
+  EXPECT_EQ(coord.Next(&slot), Step::kDone) << label;
+  ExpectExhaustiveRanking(coord, in, k, label);
 }
 
 TEST(TopKCoordinator, RandomInstancesMatchExhaustiveRanking) {
   Rng rng(20240611);
+  // Own stream for the drain mode, so the capped mode's draws (instances,
+  // caps, completion orders) stay what they were before the mode existed.
+  Rng drain_rng(20240612);
   for (const size_t parts : {1u, 2u, 4u, 8u}) {
     for (int trial = 0; trial < 150; ++trial) {
       const size_t facilities = 2 + rng.NextBelow(14);
@@ -139,12 +182,12 @@ TEST(TopKCoordinator, RandomInstancesMatchExhaustiveRanking) {
       for (const size_t k : {size_t{1}, size_t{3}, facilities - 1,
                              facilities}) {
         if (k < 1 || k > facilities) continue;
+        const std::string label = "parts=" + std::to_string(parts) +
+                                  " trial=" + std::to_string(trial) +
+                                  " k=" + std::to_string(k);
         const size_t cap = 1 + rng.NextBelow(8);
-        DriveAndCheck(in, k, cap, &rng,
-                      "parts=" + std::to_string(parts) +
-                          " trial=" + std::to_string(trial) +
-                          " k=" + std::to_string(k) +
-                          " cap=" + std::to_string(cap));
+        DriveAndCheck(in, k, cap, &rng, label + " cap=" + std::to_string(cap));
+        DrainOnceAndCheck(in, k, &drain_rng, label + " drain");
       }
     }
   }
