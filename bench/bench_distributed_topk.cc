@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <future>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -71,6 +72,18 @@ QueryResponse RunQuery(ServingEngine& engine, QueryRequest request) {
       [&promise](QueryResponse r) { promise.set_value(std::move(r)); },
       /*start_ns=*/0);
   return future.get();
+}
+
+/// The abort message of a failed query check: the matrix cell, which query
+/// of it (`query` < 0 for the warm-up), and the status that came back.
+std::string QueryFailure(const Cell& cell, const char* what, long query,
+                         const QueryResponse& r) {
+  return "shards=" + std::to_string(cell.shards) +
+         " workers=" + std::to_string(cell.workers) + " " + what +
+         (query < 0 ? std::string(" warm-up")
+                    : " query " + std::to_string(query)) +
+         " returned " + r.status.ToString() + " with " +
+         std::to_string(r.ranked.size()) + " ranked";
 }
 
 }  // namespace
@@ -140,8 +153,17 @@ int main() {
       TQ_CHECK(coord.Connect().ok());
 
       // Warm both paths once (first-touch page faults, cold caches).
-      TQ_CHECK(RunQuery(coord, QueryRequest::TopK(8)).status.ok());
-      TQ_CHECK(RunQuery(single, QueryRequest::TopK(8)).status.ok());
+      {
+        const QueryResponse r = RunQuery(coord, QueryRequest::TopK(8));
+        TQ_CHECK_MSG(r.status.ok(),
+                     QueryFailure(cell, "distributed top-k", -1, r).c_str());
+      }
+      {
+        const QueryResponse r = RunQuery(single, QueryRequest::TopK(8));
+        TQ_CHECK_MSG(
+            r.status.ok(),
+            QueryFailure(cell, "single-process top-k", -1, r).c_str());
+      }
 
       tq::bench::LatencyRecorder dist_lat;
       {
@@ -151,7 +173,10 @@ int main() {
           const QueryResponse r =
               RunQuery(coord, QueryRequest::TopK(ks[i % ks.size()]));
           dist_lat.RecordSeconds(rt.ElapsedSeconds());
-          TQ_CHECK(r.status.ok() && !r.ranked.empty());
+          TQ_CHECK_MSG(r.status.ok() && !r.ranked.empty(),
+                       QueryFailure(cell, "distributed top-k",
+                                    static_cast<long>(i), r)
+                           .c_str());
         }
         cell.rps = static_cast<double>(queries) / timer.ElapsedSeconds();
       }
@@ -167,7 +192,10 @@ int main() {
           const QueryResponse r =
               RunQuery(single, QueryRequest::TopK(ks[i % ks.size()]));
           single_lat.RecordSeconds(rt.ElapsedSeconds());
-          TQ_CHECK(r.status.ok() && !r.ranked.empty());
+          TQ_CHECK_MSG(r.status.ok() && !r.ranked.empty(),
+                       QueryFailure(cell, "single-process top-k",
+                                    static_cast<long>(i), r)
+                           .c_str());
         }
         cell.single_rps =
             static_cast<double>(queries) / timer.ElapsedSeconds();
@@ -182,8 +210,12 @@ int main() {
         tq::Timer timer;
         for (size_t i = 0; i < queries; ++i) {
           const auto f = static_cast<tq::FacilityId>((i * 7) % num_fac);
-          TQ_CHECK(
-              RunQuery(coord, QueryRequest::ServiceValue(f)).status.ok());
+          const QueryResponse r =
+              RunQuery(coord, QueryRequest::ServiceValue(f));
+          TQ_CHECK_MSG(r.status.ok(),
+                       QueryFailure(cell, "distributed sum",
+                                    static_cast<long>(i), r)
+                           .c_str());
         }
         cell.sum_rps = static_cast<double>(queries) / timer.ElapsedSeconds();
       }

@@ -194,9 +194,9 @@ BENCHMARK(BM_EvaluateScenario1);
 BENCHMARK(BM_EvaluateScenario2);
 BENCHMARK(BM_EvaluateScenario3);
 
-// The bound sweep: TQTree::UpperBound over a frozen NYF tree (node pages +
-// per-bucket reach tests) for a rotation of facility grids.
-void BM_ZIndexBucketScan(benchmark::State& state) {
+// The bound sweep: TQTree::UpperBound (the point-mass raster) over a frozen
+// NYF tree for a rotation of facility grids.
+void BM_BoundSweep(benchmark::State& state) {
   const TrajectorySet users = presets::NyfCheckins(20000);
   const TrajectorySet routes = presets::NyBusRoutes(16, 32);
   TQTreeOptions opt;
@@ -213,7 +213,7 @@ void BM_ZIndexBucketScan(benchmark::State& state) {
     benchmark::DoNotOptimize(tree.UpperBound(grids[i++ % grids.size()]));
   }
 }
-BENCHMARK(BM_ZIndexBucketScan);
+BENCHMARK(BM_BoundSweep);
 
 void BM_PointQuadtreeDiskQuery(benchmark::State& state) {
   const TrajectorySet users = presets::NytTrips(50000);
@@ -435,7 +435,7 @@ void EmitKernelMicroJson() {
         sink = total;
       }));
     }
-    rows.push_back({"zindex_bucket_scan", 0.0, Median(active_ns), 0.0});
+    rows.push_back({"bound_sweep", 0.0, Median(active_ns), 0.0});
   }
 
   const auto vs_seed = [](const KernelRow& r) {

@@ -15,10 +15,6 @@
 
 namespace {
 
-/// TQ-tree descent budget of the per-facility bound sweep
-/// (TQTree::UpperBound): deeper = tighter bounds, more nodes visited.
-constexpr int kBoundLevels = 4;
-
 /// The top-k cache key of a sharded snapshot: every shard's generation, in
 /// shard order. Exact vector equality means a hit can never mix two shard
 /// states.
@@ -714,16 +710,14 @@ void ShardedEngine::ExecuteTopKSweep(const std::shared_ptr<GatherState>& state,
   }
   const ShardState& shard = *state->snap->shards[shard_idx];
   const FacilityCatalog& catalog = *state->snap->catalog;
-  QueryStats stats;
-  // One cheap aggregate bound per facility, no entry scanned and no exact
-  // evaluation: the coordinator decides which slots are worth refining.
+  // One cheap raster bound per facility, no node walked, no entry scanned
+  // and no exact evaluation: the coordinator decides which slots are worth
+  // refining.
   std::vector<double>& bounds = state->bounds[shard_idx];
   bounds.resize(catalog.size(), 0.0);
   for (uint32_t f = 0; f < catalog.size(); ++f) {
-    bounds[f] = shard.tree->UpperBound(catalog.grid(f), kBoundLevels,
-                                       &stats.nodes_visited);
+    bounds[f] = shard.tree->UpperBound(catalog.grid(f));
   }
-  state->stats[shard_idx] = stats;
   metrics_.AddShardTask();
   if (t0 != 0) {
     const uint64_t t1 = NowNs();

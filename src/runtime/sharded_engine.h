@@ -29,10 +29,11 @@
 //     the gathered sums are exactly the unsharded values, bit for bit.
 //   * Top-k is a GLOBAL BEST-FIRST search over (facility, shard) slots,
 //     not an exhaustive per-facility sweep (see runtime/topk_coordinator.h):
-//       sweep    one task per shard computes a cheap aggregate upper bound
-//                UB_s(f) for every facility (TQTree::UpperBound — node
-//                aggregates only, no entry ever scanned) and evaluates
-//                nothing exactly. Zero-bound slots are settled as exact 0.
+//       sweep    one task per shard computes a cheap upper bound UB_s(f)
+//                for every facility (TQTree::UpperBound — the shard's
+//                point-mass raster, no node walked and no entry scanned)
+//                and evaluates nothing exactly. Zero-bound slots are
+//                settled as exact 0.
 //       refine   the last sweep task hands the bounds to a TopKCoordinator.
 //                It keeps at most num_threads single-slot tasks in flight,
 //                each one exact SO_s(f) on one shard; every completion

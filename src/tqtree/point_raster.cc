@@ -18,13 +18,12 @@ constexpr double kDriftInflation = 1.0 + 1e-6;
 
 }  // namespace
 
-PointRaster::PointRaster(const Rect& world, size_t resolution)
-    : world_(world), resolution_(std::max<size_t>(1, resolution)) {
+PointRaster::PointRaster(const Rect& world) : world_(world) {
   TQ_CHECK(!world.IsEmpty());
-  const double r = static_cast<double>(resolution_);
+  const double r = static_cast<double>(kResolution);
   inv_cell_w_ = world_.Width() > 0 ? r / world_.Width() : 0.0;
   inv_cell_h_ = world_.Height() > 0 ? r / world_.Height() : 0.0;
-  mass_.assign(resolution_ * resolution_, 0.0);
+  mass_.assign(kResolution * kResolution, 0.0);
 }
 
 size_t PointRaster::ColOf(double x) const {
@@ -33,14 +32,14 @@ size_t PointRaster::ColOf(double x) const {
   const double c = (x - world_.min_x) * inv_cell_w_;
   if (c <= 0.0) return 0;
   const auto col = static_cast<size_t>(c);
-  return std::min(col, resolution_ - 1);
+  return std::min(col, kResolution - 1);
 }
 
 size_t PointRaster::RowOf(double y) const {
   const double r = (y - world_.min_y) * inv_cell_h_;
   if (r <= 0.0) return 0;
   const auto row = static_cast<size_t>(r);
-  return std::min(row, resolution_ - 1);
+  return std::min(row, kResolution - 1);
 }
 
 void PointRaster::AddTrajectory(std::span<const Point> points,
@@ -51,7 +50,7 @@ void PointRaster::AddTrajectory(std::span<const Point> points,
       // S(u,f) = 1 requires the source within ψ of a stop; cap the whole
       // user's value on its source point alone (destination would double
       // the deposited mass for no extra soundness).
-      mass_[RowOf(points.front().y) * resolution_ +
+      mass_[RowOf(points.front().y) * kResolution +
             ColOf(points.front().x)] += sign;
       break;
     case Scenario::kPointCount: {
@@ -59,7 +58,7 @@ void PointRaster::AddTrajectory(std::span<const Point> points,
                            ? 1.0 / static_cast<double>(points.size())
                            : 1.0;
       for (const Point& p : points) {
-        mass_[RowOf(p.y) * resolution_ + ColOf(p.x)] += sign * w;
+        mass_[RowOf(p.y) * kResolution + ColOf(p.x)] += sign * w;
       }
       break;
     }
@@ -71,7 +70,7 @@ void PointRaster::AddTrajectory(std::span<const Point> points,
                               ? (total > 0.0 ? 1.0 / total : 0.0)
                               : 1.0;
       for (size_t i = 0; i + 1 < points.size(); ++i) {
-        mass_[RowOf(points[i].y) * resolution_ + ColOf(points[i].x)] +=
+        mass_[RowOf(points[i].y) * kResolution + ColOf(points[i].x)] +=
             sign * Distance(points[i], points[i + 1]) * norm;
       }
       break;
@@ -95,7 +94,7 @@ double PointRaster::MassNearStops(std::span<const Point> stops,
     const size_t r1 = RowOf(s.y + psi);
     for (size_t r = r0; r <= r1; ++r) {
       for (size_t c = c0; c <= c1; ++c) {
-        cells.push_back(static_cast<uint32_t>(r * resolution_ + c));
+        cells.push_back(static_cast<uint32_t>(r * kResolution + c));
       }
     }
   }

@@ -1,12 +1,13 @@
-// Point-mass raster: the TQ-tree's tree-level density aggregate behind the
-// cheap per-facility service upper bound (TQTree::UpperBound).
+// Point-mass raster: the TQ-tree's density aggregate behind the cheap
+// per-facility service upper bound (TQTree::UpperBound), which drives the
+// serving top-k sweep.
 //
-// Node-granularity aggregates (sub / local_ub / z-node ub) cannot
-// discriminate facilities on workloads where units roam: a check-in
-// trajectory spanning half the city parks in an upper node whose list bound
-// charges EVERY facility the unit's full value. The raster attacks the same
-// bound from the opposite side — it forgets units entirely and aggregates
-// the per-POINT value caps on a fixed R×R grid over the tree's world:
+// Node-granularity aggregates (sub / local_ub) cannot discriminate
+// facilities on workloads where units roam: a check-in trajectory spanning
+// half the city parks in an upper node whose list bound charges EVERY
+// facility the unit's full value. The raster forgets units entirely and
+// aggregates the per-POINT value caps on a fixed R×R grid over the tree's
+// world:
 //
 //   * every indexed trajectory deposits, into the cell of each of its
 //     points, the largest service value that point alone can unlock under
@@ -45,10 +46,13 @@ namespace tq {
 /// the fork copy-on-write path); not thread-safe for writes.
 class PointRaster {
  public:
-  /// `world` must be non-empty; `resolution` ≥ 1 is the cell count per axis.
-  PointRaster(const Rect& world, size_t resolution);
+  /// Cells per axis (R). Fixed: the TQT2 snapshot header records it, and
+  /// the reader refuses any other value.
+  static constexpr size_t kResolution = 256;
 
-  size_t resolution() const { return resolution_; }
+  /// `world` must be non-empty.
+  explicit PointRaster(const Rect& world);
+
   const Rect& world() const { return world_; }
 
   /// Deposits (`sign` = +1) or withdraws (`sign` = -1) one trajectory's
@@ -70,10 +74,9 @@ class PointRaster {
   size_t RowOf(double y) const;
 
   Rect world_;
-  size_t resolution_ = 0;
   double inv_cell_w_ = 0.0;
   double inv_cell_h_ = 0.0;
-  std::vector<double> mass_;  // row-major resolution × resolution
+  std::vector<double> mass_;  // row-major kResolution × kResolution
 };
 
 }  // namespace tq

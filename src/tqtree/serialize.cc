@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/crc32c.h"
 #include "tqtree/aggregates.h"
+#include "tqtree/point_raster.h"
 
 namespace tq {
 
@@ -67,7 +68,7 @@ void PackGeometry(const TQTreeOptions& opt, const Rect& world,
   PutPod(out, static_cast<uint8_t>(opt.model.normalization));
   PutPod(out, opt.model.psi);
   PutPod(out, static_cast<uint8_t>(opt.basic_entry_mbr_precheck));
-  PutPod(out, static_cast<uint64_t>(opt.bound_raster_resolution));
+  PutPod(out, static_cast<uint64_t>(PointRaster::kResolution));
   PutRect(out, world);
 }
 
@@ -275,6 +276,12 @@ class TQTreeSerializer {
     if (variant > 1 || mode > 1 || scenario > 2 || norm > 1 || beta == 0) {
       return Status::InvalidArgument("corrupt snapshot header fields");
     }
+    if (raster_res != PointRaster::kResolution) {
+      return Status::InvalidArgument(
+          "unsupported snapshot raster resolution " +
+          std::to_string(raster_res) + " (this build uses " +
+          std::to_string(PointRaster::kResolution) + ")");
+    }
     opt.beta = beta;
     opt.max_depth = max_depth;
     opt.variant = static_cast<IndexVariant>(variant);
@@ -282,7 +289,6 @@ class TQTreeSerializer {
     opt.model.scenario = static_cast<Scenario>(scenario);
     opt.model.normalization = static_cast<Normalization>(norm);
     opt.basic_entry_mbr_precheck = precheck != 0;
-    opt.bound_raster_resolution = raster_res;
     if (TQTreeGeometryHash(opt, world) != geometry_hash) {
       return Status::InvalidArgument(
           "snapshot geometry hash mismatch (stream corrupt, or written by "

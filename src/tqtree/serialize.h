@@ -18,7 +18,8 @@
 //   header   magic "TQT2", u32 version,
 //            options (u64 beta, i32 max_depth, u8 variant, u8 mode,
 //                     u8 scenario, u8 normalization, f64 psi, u8 precheck,
-//                     u64 raster_resolution),
+//                     u64 raster resolution — always
+//                     PointRaster::kResolution; any other value is refused),
 //            f64×4 world rect, u64 geometry hash (of the fields above),
 //            u64 user-set size (validation), u64 node count,
 //            u32 CRC32C of everything since the magic

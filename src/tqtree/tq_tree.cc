@@ -328,82 +328,10 @@ int32_t TQTree::ContainingNode(const Rect& r) const {
   }
 }
 
-double TQTree::UpperBound(const StopGrid& grid, int max_levels,
-                          size_t* nodes_visited) const {
-  const Rect& embr = grid.embr();
-  const int32_t q0 = ContainingNode(embr);
-  const ZIndex::Corridor corridor{grid.stops(), grid.psi(), embr};
-  double bound = 0.0;
-  size_t visited = 0;
-
-  // A node's own list, bounded at z-node granularity when the node has a
-  // built z-index: Σ bucket ub over buckets the corridor can geometrically
-  // reach (ZIndex::UpperBound). This is what gives the bound discriminating
-  // power on real data — long-span units pool in the upper nodes' lists,
-  // where `local_ub` alone would charge every facility the full pool.
-  const auto local_bound = [this, &corridor](int32_t i) -> double {
-    const TQNode& n = node(i);
-    if (n.entries.empty()) return 0.0;
-    if (n.zindex != nullptr && !n.zindex_dirty) {
-      return n.zindex->UpperBound(corridor, n.entries);
-    }
-    return n.local_ub;
-  };
-
-  // Proper ancestors of q0 can store units whose MBR spills outside their
-  // children yet still reaches into the EMBR — except under the two-point +
-  // kStartEnd argument (see TopKFacilitiesTQ), where such a unit provably
-  // scores zero and the whole path can be skipped.
-  if (!(two_point_units() && prune_mode_ == ZPruneMode::kStartEnd)) {
-    for (const int32_t a : PathTo(q0)) {
-      if (a == q0) continue;
-      ++visited;
-      bound += local_bound(a);
-    }
-  }
-
-  struct Frame {
-    int32_t idx;
-    int level;
-  };
-  std::vector<Frame> stack{{q0, 0}};
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    ++visited;
-    const TQNode& n = node(frame.idx);
-    if (n.sub <= 0.0) continue;  // nothing stored below
-    // A unit can score only if one of its points is within ψ of a stop,
-    // and every point of every unit in n's subtree lies inside n.rect.
-    if (!corridor.Reaches(n.rect)) continue;
-    bound += local_bound(frame.idx);
-    if (n.IsLeaf()) continue;
-    if (frame.level >= max_levels) {
-      // Descent budget exhausted: close the subtree with the children's
-      // aggregate bounds (skipping unreachable quadrants) instead of
-      // n.sub, so the local part above still benefits from the z-node
-      // refinement.
-      for (int q = 0; q < 4; ++q) {
-        const TQNode& c = node(n.first_child + q);
-        ++visited;
-        if (c.sub > 0.0 && corridor.Reaches(c.rect)) bound += c.sub;
-      }
-      continue;
-    }
-    for (int q = 0; q < 4; ++q) {
-      stack.push_back(Frame{n.first_child + q, frame.level + 1});
-    }
-  }
-  // The point-mass raster bounds the same quantity from the opposite side
-  // (per-point value caps near the stops, unit structure forgotten); each
-  // bound is independently sound, so their min is too. On roaming-unit
-  // workloads the raster is the discriminating one.
-  if (raster_ != nullptr) {
-    bound = std::min(bound,
-                     raster_->MassNearStops(corridor.stops, corridor.psi));
-  }
-  if (nodes_visited != nullptr) *nodes_visited += visited;
-  return bound;
+double TQTree::UpperBound(const StopGrid& grid) const {
+  TQ_CHECK_MSG(raster_ != nullptr,
+               "UpperBound needs a frozen tree (BuildAllZIndexes)");
+  return raster_->MassNearStops(grid.stops(), grid.psi());
 }
 
 std::vector<int32_t> TQTree::PathTo(int32_t idx) const {
@@ -442,14 +370,11 @@ void TQTree::BuildAllZIndexes() {
   // Freezing also materialises the point-mass raster (first freeze, or a
   // deserialised tree): forks inherit it, so steady-state publishes only
   // pay the copy-on-write path in RasterApply.
-  if (raster_ == nullptr && options_.bound_raster_resolution > 0) {
-    BuildRaster();
-  }
+  if (raster_ == nullptr) BuildRaster();
 }
 
 void TQTree::BuildRaster() {
-  raster_ = std::make_shared<PointRaster>(
-      world_, options_.bound_raster_resolution);
+  raster_ = std::make_shared<PointRaster>(world_);
   raster_owned_ = true;
   // The indexed trajectory set is whatever the node lists currently hold
   // (bulk build indexes every user; Remove de-indexes): walk the entries,

@@ -62,10 +62,6 @@ struct TQTreeOptions {
   ServiceModel model;
   /// Ablation: give TQ(B)'s linear scan a per-entry MBR pre-check.
   bool basic_entry_mbr_precheck = false;
-  /// Cells per axis of the point-mass raster backing UpperBound()
-  /// (point_raster.h); 0 disables it (bounds then come from node
-  /// aggregates alone — far looser on roaming-unit workloads).
-  size_t bound_raster_resolution = 256;
 };
 
 /// Structural statistics (index size accounting of §III-B).
@@ -157,33 +153,14 @@ class TQTree {
   /// containingQNode); the root when nothing smaller contains it.
   int32_t ContainingNode(const Rect& r) const;
 
-  /// Cheap, sound upper bound on SO(U, f) for the facility behind `grid`,
-  /// derived purely from node aggregates — no entry list is ever scanned.
-  ///
-  /// Descends at most `max_levels` levels below ContainingNode(EMBR): a
-  /// node whose rectangle no stop's ψ-disk reaches contributes nothing
-  /// (every unit in its subtree has its MBR, hence all its points, inside
-  /// the rectangle); a visited node's own list is bounded at z-node
-  /// granularity when a built z-index is available (ZIndex::UpperBound:
-  /// Σ bucket ub over corridor-reachable buckets — crucial because
-  /// long-span units pool in upper-node lists where `local_ub` alone
-  /// cannot discriminate facilities), falling back to `local_ub`
-  /// otherwise; at the level budget the subtree is closed with the
-  /// children's `sub` aggregates. Ancestors of the containing node
-  /// contribute their list bound unless the two-point + kStartEnd argument
-  /// of TopKFacilitiesTQ proves them zero.
-  ///
-  /// Never smaller than EvaluateServiceTQ's exact value; larger
-  /// `max_levels` tightens the bound at the price of visiting up to 4×
-  /// more nodes per level. Cost is O(nodes × buckets-per-node × stops)
-  /// over the visited frontier — no entry is ever scanned, which is what
-  /// makes the sharded engine's bound-and-prune top-k sweep cheap.
-  /// Thread-safe on a FROZEN tree (const: never builds a z-index; call
-  /// BuildAllZIndexes() first for the tight bucket-level bound).
-  /// `nodes_visited`, if given, is incremented by the number of q-nodes
-  /// inspected.
-  double UpperBound(const StopGrid& grid, int max_levels = 4,
-                    size_t* nodes_visited = nullptr) const;
+  /// Cheap, sound upper bound on SO(U, f) for the facility behind `grid`:
+  /// the point-mass raster's summed value caps over every cell a stop's
+  /// ψ-square touches (PointRaster::MassNearStops). No node is walked and
+  /// no entry scanned, which is what makes the sharded engine's
+  /// bound-and-prune top-k sweep cheap. Never smaller than
+  /// EvaluateServiceTQ's exact value. Requires a frozen tree (the raster
+  /// is built by the first BuildAllZIndexes()); thread-safe once frozen.
+  double UpperBound(const StopGrid& grid) const;
 
   /// Nodes on the path root → `idx`, inclusive.
   std::vector<int32_t> PathTo(int32_t idx) const;
@@ -270,8 +247,7 @@ class TQTree {
   size_t max_points_ = 0;
   /// Point-mass raster for UpperBound(); built on first freeze, shared
   /// with forks until either side writes (raster_owned_ gates in-place
-  /// mutation, mirroring the page epochs). Null until frozen or when
-  /// disabled by options.
+  /// mutation, mirroring the page epochs). Null until frozen.
   std::shared_ptr<PointRaster> raster_;
   bool raster_owned_ = false;
 };

@@ -102,7 +102,6 @@ ZIndex::ZIndex(const Rect& node_rect, std::span<const TrajEntry> entries,
       b.start_mbr.Include(e.start);
       b.end_mbr.Include(e.end);
       b.units_mbr = b.units_mbr.UnionWith(e.mbr);
-      b.ub += e.ub;
     }
     buckets_.push_back(b);
   }
@@ -247,31 +246,6 @@ void ZIndex::ForEachCandidate(const Corridor& corridor,
       }
     }
   }
-}
-
-double ZIndex::UpperBound(const Corridor& corridor,
-                          std::span<const TrajEntry> entries) const {
-  double bound = 0.0;
-  for (const auto& [entry_index, mbr] : outliers_) {
-    if (corridor.Reaches(mbr)) bound += entries[entry_index].ub;
-  }
-  for (const Bucket& b : buckets_) {
-    if (b.ub <= 0.0) continue;
-    bool near = false;
-    switch (prune_mode_) {
-      case ZPruneMode::kMbr:
-        near = corridor.Reaches(b.units_mbr);
-        break;
-      case ZPruneMode::kStartOrEnd:
-        near = corridor.Reaches(b.start_mbr) || corridor.Reaches(b.end_mbr);
-        break;
-      case ZPruneMode::kStartEnd:
-        near = corridor.Reaches(b.start_mbr) && corridor.Reaches(b.end_mbr);
-        break;
-    }
-    if (near) bound += b.ub;
-  }
-  return bound;
 }
 
 }  // namespace tq

@@ -9,7 +9,7 @@
 //         Morton keys as tie-breaks — the paper's "partitioned until the end
 //         point of each such trajectory is assigned a different z-id" — and
 //         the sorted list is chunked into z-nodes (buckets) of ≤ β entries,
-//         each carrying MBRs and a service upper bound.
+//         each carrying the MBRs zReduce prunes with.
 //
 // zReduce covers the facility component's EMBR with start cells and end
 // cells; an entry survives only if its start z-id lies in a covered start
@@ -82,10 +82,8 @@ class ZIndex {
     double psi = 0.0;
     Rect embr;
 
-    /// True iff some stop's ψ-disk intersects `r` — THE reachability
-    /// predicate every pruning layer shares (zReduce bucket filtering,
-    /// the z-node bound, the tree bound), so bound and evaluator can
-    /// never diverge geometrically. Tested in squared form
+    /// True iff some stop's ψ-disk intersects `r` — the reachability
+    /// predicate of zReduce's kMbr bucket filter. Tested in squared form
     /// (min_d²(stop, r) ≤ fl(ψ²)), one stop at a time: correctly
     /// rounded subtract/multiply/add are monotone, so for any point p
     /// inside r served by stop s the clamped rect distances compute
@@ -109,19 +107,6 @@ class ZIndex {
                         std::optional<ZPruneMode> mode_override =
                             std::nullopt) const;
 
-  /// Aggregate upper bound on the service this node's list can contribute
-  /// to the corridor's facility: Σ bucket `ub` over z-nodes the corridor
-  /// can reach, plus reachable outliers. A bucket is reachable per the
-  /// prune mode's own geometry — units MBR (kMbr), start OR end MBR
-  /// (kStartOrEnd), start AND end MBRs (kStartEnd) within ψ of a stop —
-  /// so a skipped bucket provably holds no serveable entry, by the same
-  /// argument that makes zReduce exact. No entry is ever inspected:
-  /// cost is O(buckets × stops). `entries` is the node's entry list
-  /// (outlier ubs live there). Powers TQTree::UpperBound, which powers
-  /// the sharded engine's bound-and-prune top-k.
-  double UpperBound(const Corridor& corridor,
-                    std::span<const TrajEntry> entries) const;
-
  private:
   struct EntryRef {
     uint64_t start_key = 0;   // adaptive start-cell key (range begin)
@@ -139,7 +124,6 @@ class ZIndex {
     Rect start_mbr = Rect::Empty();
     Rect end_mbr = Rect::Empty();
     Rect units_mbr = Rect::Empty();  // union of unit MBRs (kMbr pruning)
-    double ub = 0.0;                 // Σ entry ub — the z-node's "sub"
   };
 
   ZPruneMode prune_mode_;

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "query/eval_service.h"
 #include "test_util.h"
@@ -143,6 +145,61 @@ TEST(TQTreeSerialize, RejectsTruncatedFile) {
   auto loaded = LoadTQTree(path, &users);
   EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());
+}
+
+// The raster resolution header field sizes the bound raster a loaded tree
+// builds, so a stream whose field was rewritten — with the geometry hash
+// and header CRC recomputed to match, so only the field check can catch
+// it — must be refused, not trusted into an overflowing or huge
+// allocation.
+TEST(TQTreeSerialize, RejectsRasterResolutionOtherThanTheConstant) {
+  Rng rng(1209);
+  const Rect w = Rect::Of(0, 0, 10000, 10000);
+  const TrajectorySet users = testing::RandomUsers(&rng, 100, 2, 2, w);
+  TQTreeOptions opt;
+  opt.model = ServiceModel::Endpoints(100);
+  const TQTree tree(&users, opt);
+  std::string stream;
+  StringSnapshotSink sink(&stream);
+  ASSERT_TRUE(WriteTQTreeSnapshot(tree, &sink).ok());
+
+  // Header layout (serialize.h): magic, u32 version, then the geometry —
+  // u64 beta, i32 max_depth, 4 × u8, f64 psi, u8 precheck, u64 raster
+  // resolution, f64×4 world — then u64 geometry hash, u64 user count,
+  // u64 node count and the CRC32C of everything after the magic.
+  constexpr size_t kGeomBegin = 8;
+  constexpr size_t kRasterAt = kGeomBegin + 8 + 4 + 4 + 8 + 1;
+  constexpr size_t kGeomEnd = kRasterAt + 8 + 4 * 8;
+  constexpr size_t kCrcAt = kGeomEnd + 3 * 8;
+  const auto with_raster = [&](uint64_t resolution) {
+    std::string s = stream;
+    std::memcpy(s.data() + kRasterAt, &resolution, sizeof(resolution));
+    uint64_t h = 1469598103934665603ull;  // FNV-1a, as TQTreeGeometryHash
+    for (size_t i = kGeomBegin; i < kGeomEnd; ++i) {
+      h ^= static_cast<unsigned char>(s[i]);
+      h *= 1099511628211ull;
+    }
+    std::memcpy(s.data() + kGeomEnd, &h, sizeof(h));
+    const uint32_t crc = Crc32c(s.data() + 4, kCrcAt - 4);
+    std::memcpy(s.data() + kCrcAt, &crc, sizeof(crc));
+    return s;
+  };
+
+  // Control: re-encoding the constant reproduces the stream byte for byte
+  // and loads, so the offsets above are the real ones.
+  ASSERT_EQ(with_raster(256), stream);
+  {
+    StringSnapshotSource source(stream);
+    ASSERT_TRUE(ReadTQTreeSnapshot(&source, &users).ok());
+  }
+  for (const uint64_t resolution : {uint64_t{0}, uint64_t{512},
+                                    uint64_t{1} << 33}) {
+    const std::string patched = with_raster(resolution);
+    StringSnapshotSource source(patched);
+    const auto loaded = ReadTQTreeSnapshot(&source, &users);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << "resolution " << resolution;
+  }
 }
 
 TEST(TQTreeSerialize, RejectsNonTreeFile) {

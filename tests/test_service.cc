@@ -353,38 +353,31 @@ double BruteForceIndexedSO(const TrajectorySet& users,
   return so;
 }
 
-// The bound sums ubs in tree order, the oracle values in user order; allow
-// the rounding that reordering a sum of non-negative terms can cost.
+// The bound sums per-point caps cell by cell, the oracle values in user
+// order; allow the rounding that reordering a sum of non-negative terms can
+// cost.
 void ExpectBoundCovers(double bound, double so, const std::string& what) {
   EXPECT_GE(bound, so - 1e-9 * std::max(1.0, so)) << what;
 }
-
-// The bound is min(node/z-bucket sweep, point-mass raster); raster
-// resolution 0 leaves the sweep alone, so both settings are checked.
-constexpr size_t kRasterSettings[] = {256, 0};
 
 TEST(ServiceKernels, TreeUpperBoundNeverBelowBruteForceSO) {
   const TrajectorySet users = presets::NyfCheckins(400);
   const TrajectorySet routes = presets::NyBusRoutes(12, 24);
   const std::vector<bool> all(users.size(), true);
-  for (const size_t raster : kRasterSettings) {
-    for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
-      for (const ServiceModel& model : testing::AllModels(400.0)) {
-        TQTreeOptions opt;
-        opt.beta = 16;
-        opt.mode = mode;
-        opt.model = model;
-        opt.bound_raster_resolution = raster;
-        TQTree tree(&users, opt);
-        tree.BuildAllZIndexes();
-        for (uint32_t f = 0; f < routes.size(); ++f) {
-          const StopGrid grid(routes.points(f), model.psi);
-          ExpectBoundCovers(
-              tree.UpperBound(grid),
-              BruteForceIndexedSO(users, all, routes.points(f), model),
-              "facility " + std::to_string(f) + " model " +
-                  model.ToString() + " raster " + std::to_string(raster));
-        }
+  for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
+    for (const ServiceModel& model : testing::AllModels(400.0)) {
+      TQTreeOptions opt;
+      opt.beta = 16;
+      opt.mode = mode;
+      opt.model = model;
+      TQTree tree(&users, opt);
+      tree.BuildAllZIndexes();
+      for (uint32_t f = 0; f < routes.size(); ++f) {
+        const StopGrid grid(routes.points(f), model.psi);
+        ExpectBoundCovers(
+            tree.UpperBound(grid),
+            BruteForceIndexedSO(users, all, routes.points(f), model),
+            "facility " + std::to_string(f) + " model " + model.ToString());
       }
     }
   }
@@ -394,43 +387,39 @@ TEST(ServiceKernels, TreeUpperBoundCoversAfterMutationAndRefreeze) {
   const TrajectorySet users = presets::NyfCheckins(300);
   const TrajectorySet routes = presets::NyBusRoutes(6, 20);
   const ServiceModel model = ServiceModel::PointCount(400.0);
-  for (const size_t raster : kRasterSettings) {
-    for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
-      TQTreeOptions opt;
-      opt.beta = 16;
-      opt.mode = mode;
-      opt.model = model;
-      opt.bound_raster_resolution = raster;
-      TQTree tree(&users, opt);
-      tree.BuildAllZIndexes();
-      std::vector<bool> indexed(users.size(), true);
-      const auto check = [&](const char* stage) {
-        for (uint32_t f = 0; f < routes.size(); ++f) {
-          const StopGrid grid(routes.points(f), model.psi);
-          ExpectBoundCovers(
-              tree.UpperBound(grid),
-              BruteForceIndexedSO(users, indexed, routes.points(f), model),
-              std::string(stage) + " facility " + std::to_string(f) +
-                  " mode " + std::to_string(static_cast<int>(mode)) +
-                  " raster " + std::to_string(raster));
-        }
-      };
-      check("built");
-      // Removing and re-inserting leaves dirty z-indexes behind; the bound
-      // must stay sound on the unfrozen tree and after the refreeze.
-      for (uint32_t u = 0; u < 20; ++u) {
-        ASSERT_TRUE(tree.Remove(u));
-        indexed[u] = false;
+  for (const TrajMode mode : {TrajMode::kWhole, TrajMode::kSegmented}) {
+    TQTreeOptions opt;
+    opt.beta = 16;
+    opt.mode = mode;
+    opt.model = model;
+    TQTree tree(&users, opt);
+    tree.BuildAllZIndexes();
+    std::vector<bool> indexed(users.size(), true);
+    const auto check = [&](const char* stage) {
+      for (uint32_t f = 0; f < routes.size(); ++f) {
+        const StopGrid grid(routes.points(f), model.psi);
+        ExpectBoundCovers(
+            tree.UpperBound(grid),
+            BruteForceIndexedSO(users, indexed, routes.points(f), model),
+            std::string(stage) + " facility " + std::to_string(f) +
+                " mode " + std::to_string(static_cast<int>(mode)));
       }
-      check("removed");
-      for (uint32_t u = 0; u < 10; ++u) {
-        tree.Insert(u);
-        indexed[u] = true;
-      }
-      check("reinserted");
-      tree.BuildAllZIndexes();
-      check("refrozen");
+    };
+    check("built");
+    // Removing and re-inserting leaves dirty z-indexes behind; the bound
+    // must stay sound on the unfrozen tree and after the refreeze.
+    for (uint32_t u = 0; u < 20; ++u) {
+      ASSERT_TRUE(tree.Remove(u));
+      indexed[u] = false;
     }
+    check("removed");
+    for (uint32_t u = 0; u < 10; ++u) {
+      tree.Insert(u);
+      indexed[u] = true;
+    }
+    check("reinserted");
+    tree.BuildAllZIndexes();
+    check("refrozen");
   }
 }
 

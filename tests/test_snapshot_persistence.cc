@@ -6,7 +6,9 @@
 //   * snapshot immutability — after K random write batches, every retained
 //     older snapshot still answers a fixed query set byte-identically to
 //     its recorded answers, and the newest snapshot matches a from-scratch
-//     TQTree oracle bit-for-bit (integer-valued model);
+//     TQTree oracle bit-for-bit (integer-valued model); a frozen tree's
+//     top-k bounds survive a fork's writes bit for bit (raster
+//     copy-on-write);
 //   * sharded equivalence — N-shard forked publishes stay bit-identical to
 //     an unsharded from-scratch build for N ∈ {1, 2, 4, 8};
 //   * the top-k section of ResultCache: memoisation keyed by (k, ψ,
@@ -15,6 +17,7 @@
 // across snapshots is exactly where lifetime and data-race bugs would live.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -195,6 +198,45 @@ TEST(SnapshotImmutability, RetainedSnapshotsAnswerByteIdenticallyAfterKBatches) 
                                 newest->catalog->grid(f)))
         << "facility " << f;
   }
+}
+
+// A retained snapshot's bound raster is copy-on-write across Fork(): the
+// fork's removes, inserts and refreeze must leave every bound of the frozen
+// parent bit-identical to what it answered before the fork, or a retained
+// snapshot's top-k would prune against mass it no longer holds.
+TEST(SnapshotImmutability, RetainedTreeBoundsUnchangedByForkWrites) {
+  const TrajectorySet users = presets::NyfCheckins(1500);
+  const TrajectorySet routes = presets::NyBusRoutes(16, 16);
+  TQTreeOptions opt;
+  opt.beta = 16;
+  opt.model = ServiceModel::PointCount(300.0, Normalization::kNone);
+  TQTree parent(&users, opt);
+  parent.BuildAllZIndexes();
+  const FacilityCatalog catalog(&routes, opt.model.psi);
+  std::vector<uint64_t> before;
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    before.push_back(
+        std::bit_cast<uint64_t>(parent.UpperBound(catalog.grid(f))));
+  }
+
+  std::unique_ptr<TQTree> fork = parent.Fork(&users);
+  for (uint32_t u = 0; u < 200; ++u) ASSERT_TRUE(fork->Remove(u));
+  for (uint32_t u = 0; u < 50; ++u) fork->Insert(u);
+  fork->BuildAllZIndexes();
+
+  size_t fork_moved = 0;
+  for (uint32_t f = 0; f < catalog.size(); ++f) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(parent.UpperBound(catalog.grid(f))),
+              before[f])
+        << "facility " << f;
+    if (std::bit_cast<uint64_t>(fork->UpperBound(catalog.grid(f))) !=
+        before[f]) {
+      ++fork_moved;
+    }
+  }
+  // The writes reached the fork's own bounds, so the check above is not
+  // vacuous.
+  EXPECT_GT(fork_moved, 0u);
 }
 
 // --------------------------------------------------- sharded equivalence

@@ -1,7 +1,7 @@
 // Tests for bound-and-prune distributed top-k (src/runtime/sharded_engine
 // bound sweep + best-first slot refinement, src/tqtree TQTree::UpperBound):
-//   * the aggregate bound is sound — never below the exact service value —
-//     at every descent budget, tree mode and service model tested;
+//   * the raster bound is sound — never below the exact service value —
+//     for every tree mode and service model tested;
 //   * top-k answers agree bit-for-bit with the library's exhaustive ranking
 //     (TopKFacilitiesExhaustiveTQ on one tree over all users) and with the
 //     brute-force ranked oracle on NYF for k ∈ {1, 5, 64} ×
@@ -83,8 +83,8 @@ std::vector<RankedFacility> OracleRanking(const TrajectorySet& users,
 
 // ------------------------------------------------------ TQTree::UpperBound
 
-// Soundness at every descent budget: the aggregate bound may be loose but
-// must never fall below the exact value, or pruning would drop answers.
+// Soundness: the raster bound may be loose but must never fall below the
+// exact value, or pruning would drop answers.
 TEST(TQTreeUpperBound, NeverBelowExactServiceValue) {
   Rng rng(97);
   const Rect w = Rect::Of(0, 0, 20000, 20000);
@@ -104,18 +104,8 @@ TEST(TQTreeUpperBound, NeverBelowExactServiceValue) {
       for (uint32_t f = 0; f < facs.size(); ++f) {
         const double exact =
             EvaluateServiceTQ(&tree, eval, catalog.grid(f), nullptr);
-        for (const int levels : {0, 2, 6}) {
-          size_t nodes = 0;
-          const double bound =
-              tree.UpperBound(catalog.grid(f), levels, &nodes);
-          EXPECT_GE(bound, exact)
-              << "mode=" << static_cast<int>(mode)
-              << " facility=" << f << " levels=" << levels;
-          EXPECT_GT(nodes, 0u);
-        }
-        // Deeper descent can only tighten (or keep) the bound.
-        EXPECT_LE(tree.UpperBound(catalog.grid(f), 6),
-                  tree.UpperBound(catalog.grid(f), 0));
+        EXPECT_GE(tree.UpperBound(catalog.grid(f)), exact)
+            << "mode=" << static_cast<int>(mode) << " facility=" << f;
       }
     }
   }
@@ -133,7 +123,7 @@ TEST(TQTreeUpperBound, ZeroBoundForUnreachableFacility) {
   options.model = model;
   TQTree tree(&users, options);
   const FacilityCatalog catalog(&facs, model.psi);
-  EXPECT_EQ(tree.UpperBound(catalog.grid(0), 4), 0.0);
+  EXPECT_EQ(tree.UpperBound(catalog.grid(0)), 0.0);
 }
 
 // --------------------------------------------------- pruned top-k answers
